@@ -30,10 +30,7 @@ THRESHOLD = 1e-2
 def run(cfg, quantized: bool):
     plant = example_plant()
     fb = HomFeedback(gain=cfg.gain, norm_power=cfg.norm_power)
-    quant = None
-    if quantized:
-        quant = (plant.dilation,
-                 QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=3))
+    quant = QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=3) if quantized else None
     return plant, simulate(plant, fb, quant, cfg.x0, cfg.step, cfg.t_end)
 
 

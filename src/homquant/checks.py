@@ -119,7 +119,7 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
         r = np.exp(rng.uniform(math.log(lo), math.log(hi), batch))
         frac = ((np.log(r) - cell_anchor) / a) % 1.0
         keep = (np.minimum(frac, 1.0 - frac) * a) >= margin
-        w = u if d._p_is_identity else (d._p_sqrt @ u.T).T
+        w = d.to_euclidean(u.T).T
         for j in range(batch):
             if not keep[j]:
                 continue
@@ -174,7 +174,7 @@ def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec, spec: SampleSpec,
     pf = phi_many(d, imgs, cfg)
     a = pf - px @ sector.k1.T
     b = pf - px @ sector.k2.T
-    vals = np.einsum("ij,ij->i", a, b if d._p_is_identity else (d.weight @ b.T).T)
+    vals = np.einsum("ij,ij->i", a, (d.weight @ b.T).T)
     worst = float(np.max(vals))
     return worst <= 1e-10, worst
 
@@ -188,8 +188,8 @@ def ratio_bounds_on_domain(f1, nu1: float, f2, nu2: float, fd: FundamentalDomain
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValueError("homogeneity degrees must be positive")
-    d = fd.discrete.base
-    a = fd.discrete.step
+    d = fd.dilation
+    a = fd.step
     rng = np.random.default_rng(spec.seed)
     u = sample_directions(d, rng, spec.count)
     r = np.exp(rng.uniform(math.log(fd.rho), math.log(fd.rho) + a, spec.count))

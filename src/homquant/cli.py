@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .geometry import hom_norm
-from .quantizer import QuantizerParams, _reconstruct
+from .quantizer import QuantizerParams, unit_from_angles
 from .simulation import HomFeedback, HomPlant, Trajectory, _example_drift, simulate
 from .suites import SUITE_NAMES, run_suite
 
@@ -213,7 +213,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     except ValueError as exc:
         raise ConfigValidationError("generator", str(exc))
     fb = HomFeedback(gain=cfg.gain, norm_power=cfg.norm_power)
-    quant = (d, QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=3)) \
+    quant = QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=3) \
         if cfg.quantized else None
     status = 0
     try:
@@ -242,19 +242,16 @@ def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> in
     two_pi = 2.0 * math.pi
     m_az = max(1, round(two_pi / p.delta_angle))
     if n == 2:
-        angle_grids = [np.array([j * p.delta_angle]) for j in range(m_az)]
+        angle_grids = [[j * p.delta_angle] for j in range(m_az)]
     else:
         m_pol = round(math.pi / p.delta_angle) + 1
-        angle_grids = [np.array([j1 * p.delta_angle, j2 * p.delta_angle])
+        angle_grids = [[j1 * p.delta_angle, j2 * p.delta_angle]
                        for j1 in range(m_pol) for j2 in range(m_az)]
     rows = []
     for level in range(lo, hi + 1):
         value = p.nu ** level * p.xi0
         for idx, angles in enumerate(angle_grids):
-            unit = _reconstruct(1.0, angles)
-            if not d._p_is_identity:
-                unit = d._p_sqrt_inv @ unit
-            seed = d.apply(math.log(value), unit)
+            seed = d.apply(math.log(value), unit_from_angles(d, angles))
             rows.append((level, idx, seed, hom_norm(d, seed)))
     header = ["level", "angle_index"] + [f"x{i+1}" for i in range(n)] + ["hnorm"]
     try:

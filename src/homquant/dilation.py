@@ -88,32 +88,26 @@ class Dilation:
         return out
 
     def weighted_norm(self, x: np.ndarray) -> float:
-        """``sqrt(x' P x)``."""
+        """``sqrt(x' P x)``; not finite, and without a numpy warning, if ``x`` is not."""
         if self._p_is_identity:
             return math.sqrt(x.dot(x))
-        return math.sqrt(x.dot(self.weight @ x))
+        with np.errstate(invalid="ignore"):
+            return math.sqrt(x.dot(self.weight @ x))
 
     def weighted_norms(self, cols: np.ndarray) -> np.ndarray:
-        """Weighted norms of the columns of ``cols``."""
+        """Weighted norms of the columns of ``cols``, as :meth:`weighted_norm`."""
         if self._p_is_identity:
             return np.sqrt(np.einsum("ij,ij->j", cols, cols))
-        return np.sqrt(np.einsum("ij,ij->j", cols, self.weight @ cols))
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.einsum("ij,ij->j", cols, self.weight @ cols))
 
+    def to_euclidean(self, u: np.ndarray) -> np.ndarray:
+        """``P^{1/2} u`` (``u`` a vector or one per column), in which ``|u|_P`` is Euclidean."""
+        return u if self._p_is_identity else self._p_sqrt @ u
 
-@dataclass(frozen=True)
-class DiscreteDilation:
-    """Restriction of a dilation to the parameter grid ``{k*step : k integer}``."""
-
-    base: Dilation
-    step: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and positive")
-
-    def param(self, k: int) -> float:
-        """Group parameter of the k-th grid element."""
-        return k * self.step
+    def from_euclidean(self, w: np.ndarray) -> np.ndarray:
+        """``P^{-1/2} w``, the inverse of :meth:`to_euclidean`."""
+        return w if self._p_is_identity else self._p_sqrt_inv @ w
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -39,6 +39,10 @@ class NotOnSphereError(HomquantError, ValueError):
     """The argument must lie on the unit sphere of the weighted norm."""
 
 
+class NonFiniteInputError(HomquantError, ValueError):
+    """An input state, norm or coordinate has a NaN or infinite entry."""
+
+
 class NonPositiveFunctionError(HomquantError, ValueError):
     """A function required to be positive on the sample set was not."""
 

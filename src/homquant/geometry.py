@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import Dilation, DiscreteDilation
-from .errors import NegativeInputError, NoConvergenceError, ZeroVectorError
+from .dilation import Dilation
+from .errors import NegativeInputError, NoConvergenceError, NonFiniteInputError, ZeroVectorError
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,15 @@ DEFAULT_CONFIG = HomNormConfig()
 
 @dataclass(frozen=True)
 class FundamentalDomain:
-    """Annulus ``rho <= |x|_d < rho * exp(step)`` of a discrete dilation."""
+    """Annulus ``rho <= |x|_d < rho * exp(step)`` of ``{exp(k*step*G) : k integer}``."""
 
-    discrete: DiscreteDilation
+    dilation: Dilation
+    step: float
     rho: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be finite and positive")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and positive")
 
@@ -151,42 +154,58 @@ def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig) -> tuple[np.n
     )
 
 
+def _solve_nonzero(d: Dilation, x, cfg: HomNormConfig) -> tuple[float, np.ndarray] | None:
+    """:func:`_solve` at ``x``, or ``None`` if ``|x|_P`` is at most the zero threshold.
+    Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry."""
+    x = np.asarray(x, dtype=float)
+    nrm = d.weighted_norm(x)
+    if nrm <= cfg.zero_threshold:
+        return None
+    if not math.isfinite(nrm) and not np.all(np.isfinite(x)):
+        raise NonFiniteInputError("state has a NaN or infinite entry")
+    return _solve(d, x, cfg, nrm=nrm)
+
+
+def _solve_many_nonzero(d: Dilation, xs, cfg: HomNormConfig):
+    """Row-batch twin of :func:`_solve_nonzero`: ``(cols, mask, s, y)`` with the rows
+    of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects."""
+    cols = np.asarray(xs, dtype=float).T
+    nrm = d.weighted_norms(cols)
+    if not np.all(np.isfinite(cols[:, ~np.isfinite(nrm)])):
+        raise NonFiniteInputError("a sample row has a NaN or infinite entry")
+    mask = nrm > cfg.zero_threshold
+    s, y = _solve_many(d, cols[:, mask], cfg)
+    return cols, mask, s, y
+
+
 def hom_norm(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> float:
     """Canonical homogeneous norm of ``x``; zero below the zero threshold."""
-    x = np.asarray(x, dtype=float)
-    if d.weighted_norm(x) <= cfg.zero_threshold:
-        return 0.0
-    s, _ = _solve(d, x, cfg)
-    return math.exp(s)
+    root = _solve_nonzero(d, x, cfg)
+    return 0.0 if root is None else math.exp(root[0])
 
 
 def hom_norm_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Row-wise homogeneous norms of the sample matrix ``xs`` (one sample per row)."""
-    xs = np.asarray(xs, dtype=float)
-    cols = xs.T
-    out = np.zeros(cols.shape[1])
-    mask = d.weighted_norms(cols) > cfg.zero_threshold
-    if np.any(mask):
-        s, _ = _solve_many(d, cols[:, mask], cfg)
-        out[mask] = np.exp(s)
+    _, mask, s, _ = _solve_many_nonzero(d, xs, cfg)
+    out = np.zeros(len(mask))
+    out[mask] = np.exp(s)
     return out
 
 
 def hom_project(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Projection ``exp(-ln|x|_d G) x`` onto the unit sphere of the weighted norm."""
-    x = np.asarray(x, dtype=float)
-    if d.weighted_norm(x) <= cfg.zero_threshold:
+    root = _solve_nonzero(d, x, cfg)
+    if root is None:
         raise ZeroVectorError("cannot project the origin onto the unit sphere")
-    _, y = _solve(d, x, cfg)
-    return y
+    return root[1]
 
 
 def phi(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Straightening map ``x -> |x|_d * exp(-ln|x|_d G) x``; the origin maps to itself."""
-    x = np.asarray(x, dtype=float)
-    if d.weighted_norm(x) <= cfg.zero_threshold:
+    root = _solve_nonzero(d, x, cfg)
+    if root is None:
         return np.zeros(d.dim)
-    s, y = _solve(d, x, cfg)
+    s, y = root
     return math.exp(s) * y
 
 
@@ -201,13 +220,9 @@ def phi_inv(d: Dilation, z, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def phi_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Row-wise :func:`phi` of the sample matrix ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    cols = xs.T
+    cols, mask, s, y = _solve_many_nonzero(d, xs, cfg)
     out = np.zeros_like(cols, dtype=float)
-    mask = d.weighted_norms(cols) > cfg.zero_threshold
-    if np.any(mask):
-        s, y = _solve_many(d, cols[:, mask], cfg)
-        out[:, mask] = np.exp(s) * y
+    out[:, mask] = np.exp(s) * y
     return out.T
 
 
@@ -221,12 +236,11 @@ def projection_index(fd: FundamentalDomain, x, cfg: HomNormConfig = DEFAULT_CONF
     is unsatisfiable; such corner cases resolve to the nearest cell instead of
     failing.
     """
-    d = fd.discrete.base
-    a = fd.discrete.step
-    x = np.asarray(x, dtype=float)
-    if d.weighted_norm(x) <= cfg.zero_threshold:
+    a = fd.step
+    root = _solve_nonzero(fd.dilation, x, cfg)
+    if root is None:
         raise ZeroVectorError("projection index is undefined at the origin")
-    r = hom_norm(d, x, cfg)
+    r = math.exp(root[0])
     lo = fd.rho
     hi = fd.rho * math.exp(a)
     k = math.floor(math.log(r / fd.rho) / a)
@@ -287,17 +301,3 @@ def distance_bound_alpha1(d: Dilation, vartheta: float) -> float:
     gap = d._gnorm * max(grow, shrink) + 2.0 * vartheta
     return max(gap ** (1.0 / e_hi), gap ** (1.0 / e_lo)) ** 2
 
-
-def distance_bound_alpha2(d: Dilation, vartheta: float) -> float:
-    """Diagnostic companion to :func:`distance_bound_alpha1`.
-
-    The symmetric lower-bound construction evaluates to
-    ``1 - max((1+vartheta)^eta_max, (1+vartheta)^eta_min)``, which is
-    nonpositive for every ``vartheta >= 0``; the raw value is returned for
-    inspection and should never be asserted against as a usable lower bound.
-    """
-    vartheta = float(vartheta)
-    if vartheta < 0:
-        raise NegativeInputError("vartheta must be nonnegative")
-    base = 1.0 + vartheta
-    return 1.0 - max(base ** d.eta_max, base ** d.eta_min)

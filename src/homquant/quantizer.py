@@ -20,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import Dilation
-from .errors import (
-    DimensionTooSmallError,
-    NegativeInputError,
-    NotOnSphereError,
-)
-from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve
+from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
+                     NotOnSphereError)
+from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve_nonzero
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
@@ -92,6 +89,8 @@ class SphericalCoords:
 def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
     """Radial grid value and level index for ``z >= 0``; zero maps to ``(0.0, 0)``."""
     z = float(z)
+    if not math.isfinite(z):
+        raise NonFiniteInputError(f"radial quantizer input must be finite, got {z!r}")
     if z < 0:
         raise NegativeInputError("radial quantizer input must be nonnegative")
     if z == 0.0:
@@ -142,12 +141,15 @@ def to_spherical(y) -> SphericalCoords:
     Angle ``i`` (zero-based, ``i <= n-3``) is ``atan2`` of the trailing tail
     magnitude against coordinate ``i``; the final angle is the signed planar
     angle of the last two coordinates mapped into ``[0, 2*pi)``.  Fully
-    degenerate tails give zero angles.
+    degenerate tails give zero angles.  NaN or infinite coordinates raise
+    :class:`NonFiniteInputError`.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 2:
         raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
     radius, angles = _polar(y.tolist())
+    if not math.isfinite(radius) and not np.all(np.isfinite(y)):
+        raise NonFiniteInputError("spherical coordinates of a NaN or infinite vector")
     return SphericalCoords(radius=radius, angles=np.array(angles))
 
 
@@ -168,18 +170,22 @@ def from_spherical(c: SphericalCoords) -> np.ndarray:
     return _reconstruct(c.radius, np.asarray(c.angles, dtype=float))
 
 
+def unit_from_angles(d: Dilation, angles) -> np.ndarray:
+    """Weighted-unit vector whose angles, in :meth:`Dilation.to_euclidean` terms, are ``angles``."""
+    return d.from_euclidean(_reconstruct(1.0, angles))
+
+
 def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     """Round the angle coordinates of a weighted-unit vector to the grid.
 
     ``u`` must satisfy ``| |u|_P - 1 | <= 1e-8``.  Angles are taken in the
-    coordinates straightened by ``P^{1/2}``, rounded to the nearest multiple
-    of ``delta_angle`` (the final angle wraps modulo ``2*pi``), and the
-    result is mapped back; the output lies exactly on the weighted unit
-    sphere.  Seeds reproduce themselves whenever ``delta_angle`` divides
-    ``pi``.
+    coordinates ``P^{1/2} u``, rounded to the nearest multiple of
+    ``delta_angle`` (the final angle wraps modulo ``2*pi``), and the result
+    is mapped back by :func:`unit_from_angles`; the output lies exactly on
+    the weighted unit sphere.  Seeds reproduce themselves whenever
+    ``delta_angle`` divides ``pi``.
     """
-    u = np.asarray(u, dtype=float)
-    w = u if d._p_is_identity else d._p_sqrt @ u
+    w = d.to_euclidean(np.asarray(u, dtype=float))
     # |w| is |u|_P; a NaN radius fails the check too.
     radius, angles = _polar(w.tolist())
     if not abs(radius - 1.0) <= _SPHERE_TOL:
@@ -189,17 +195,16 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     step = p.delta_angle
     q = [math.floor(a / step + 0.5) * step for a in angles]
     q[-1] = q[-1] % (2.0 * math.pi)
-    rec = _reconstruct(1.0, q)
-    return rec if d._p_is_identity else d._p_sqrt_inv @ rec
+    return unit_from_angles(d, q)
 
 
 def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Composed state quantizer: radial rounding of the homogeneous norm and
     angular rounding of the unit projection; the origin is a fixed point."""
-    x = np.asarray(x, dtype=float)
-    if d.weighted_norm(x) <= cfg.zero_threshold:
+    root = _solve_nonzero(d, x, cfg)
+    if root is None:
         return np.zeros(d.dim)
-    s, y = _solve(d, x, cfg)
+    s, y = root
     value, _ = log_quantize(p, math.exp(s))
     seed = spherical_quantize(d, p, y)
     return d.apply(math.log(value), seed)

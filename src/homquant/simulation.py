@@ -17,8 +17,8 @@ import numpy as np
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import EmptyTrajectoryError, NonFiniteStateError
-from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve
-from .quantizer import QuantizerParams, hom_quantize, log_quantize, spherical_quantize
+from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve, _solve_nonzero
+from .quantizer import QuantizerParams, log_quantize, spherical_quantize
 
 # Sampling plan for the construction-time homogeneity audit of a plant drift.
 _DRIFT_AUDIT = SampleSpec(count=128, radius_range=(0.25, 4.0), seed=7)
@@ -113,10 +113,10 @@ def example_plant() -> HomPlant:
 def hom_feedback_eval(fb: HomFeedback, d: Dilation, x,
                       cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Feedback law evaluated at ``x``; zero below the zero threshold."""
-    x = np.asarray(x, dtype=float)
-    if d.weighted_norm(x) <= cfg.zero_threshold:
+    root = _solve_nonzero(d, x, cfg)
+    if root is None:
         return np.zeros(fb.gain.shape[0])
-    s, y = _solve(d, x, cfg)
+    s, y = root
     return math.exp(s * fb.norm_power) * (fb.gain @ y)
 
 
@@ -127,10 +127,11 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def simulate(plant: HomPlant, fb: HomFeedback,
-             quant: tuple[Dilation, QuantizerParams] | None,
+             quant: QuantizerParams | None,
              x0, h: float, t_end: float,
              cfg: HomNormConfig = DEFAULT_CONFIG) -> Trajectory:
-    """Integrate the closed loop with fixed-step RK4.
+    """Integrate the closed loop with fixed-step RK4; ``quant``, if given,
+    quantizes the fed-back state under the plant's dilation.
 
     Records ``round(t_end/h) + 1`` uniformly spaced rows.  If the weighted
     norm of the state falls below ``cfg.zero_threshold`` the remaining rows
@@ -138,6 +139,8 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     derived quantity aborts with :class:`NonFiniteStateError` carrying the
     (entirely finite) rows recorded so far.
     """
+    if quant is not None and not isinstance(quant, QuantizerParams):
+        raise TypeError(f"quant must be QuantizerParams or None, got {type(quant).__name__}")
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("step size must be positive and finite")
     if not (t_end >= h and math.isfinite(t_end)):
@@ -153,13 +156,12 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     drift = plant.drift
     kappa = fb.norm_power
     gain = fb.gain
-    qd, qp = (None, None) if quant is None else quant
 
     def stage(x, s0, record=False):
         # (xdot, x_hat, u, s) at one RK stage, with hom_norm = exp(s) (s is
         # -inf at the origin, +inf when |x|_P overflows) and the solve
-        # warm-started at s0.  x_hat is only needed, and for a folded
-        # quantizer only computed, at a record point.
+        # warm-started at s0.  x_hat is only needed, and so only computed,
+        # at a record point.
         nrm = d.weighted_norm(x)
         if not (nrm > cfg.zero_threshold):
             # Origin (or NaN poison from an earlier overflow, which then
@@ -170,18 +172,15 @@ def simulate(plant: HomPlant, fb: HomFeedback,
             return np.full(n, math.nan), x, np.zeros(m), math.inf
         s, y = _solve(d, x, cfg, s0, nrm)
         x_hat = x
-        if qp is None:
+        if quant is None:
             u = math.exp(s * kappa) * gain.dot(y)
-        elif qd is d:
-            value, _ = log_quantize(qp, math.exp(s))
-            seed = spherical_quantize(d, qp, y)
+        else:
+            value, _ = log_quantize(quant, math.exp(s))
+            seed = spherical_quantize(d, quant, y)
             if record:
                 x_hat = d.apply(math.log(value), seed)
             # The quantized state has homogeneous norm `value` by construction.
             u = value ** kappa * gain.dot(seed)
-        else:
-            x_hat = hom_quantize(qd, qp, x, cfg)
-            u = hom_feedback_eval(fb, d, x_hat, cfg)
         return np.asarray(drift(x), dtype=float) + b.dot(u), x_hat, u, s
 
     steps = int(round(t_end / h))

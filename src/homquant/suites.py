@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks, geometry, quantizer, simulation
-from .dilation import dilate, dilation_norm_bounds, make_dilation, DiscreteDilation
+from .dilation import dilate, dilation_norm_bounds, make_dilation
 from .errors import HomquantError
 from .geometry import FundamentalDomain
 
@@ -249,7 +249,7 @@ def _suite_sector(rng_seed, nu_override):
         spec = checks.SampleSpec(count=2000, seed=rng_seed)
         rng = np.random.default_rng(rng_seed)
         xs = checks._sample_off_boundary(d, p, spec, rng)
-        fd = FundamentalDomain(DiscreteDilation(d, p.radial_step), rho=p.xi0 / (1.0 + p.delta))
+        fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
 
         def ratio(x):
             q = quantizer.hom_quantize(d, p, x)
@@ -262,7 +262,7 @@ def _suite_sector(rng_seed, nu_override):
         for x in xs:
             global_max = max(global_max, ratio(x))
             k = geometry.projection_index(fd, x)
-            folded_max = max(folded_max, ratio(d.apply(-k * fd.discrete.step, x)))
+            folded_max = max(folded_max, ratio(d.apply(-k * fd.step, x)))
         return abs(global_max - folded_max)
 
     _collect(out, "sector.fundamental_domain_locality.diag321", 1e-7, locality)
@@ -302,7 +302,7 @@ def _suite_sim(rng_seed, nu_override):
 
     def quantized_norm_grid():
         p = _quant_params(3, nu_override)
-        traj = simulation.simulate(plant, fb, (plant.dilation, p), x0, 1e-3, 2.0)
+        traj = simulation.simulate(plant, fb, p, x0, 1e-3, 2.0)
         worst = 0.0
         for row in traj.quantized_states[:: max(1, len(traj) // 200)]:
             rq = geometry.hom_norm(plant.dilation, row)

@@ -19,7 +19,7 @@ from homquant.checks import (
     sample_states,
 )
 from homquant.cli import main
-from homquant.dilation import DiscreteDilation, make_dilation
+from homquant.dilation import make_dilation
 from homquant.geometry import (
     FundamentalDomain,
     hom_norm,
@@ -183,8 +183,7 @@ def test_quantization_error_scale_invariance():
     t0 = time.perf_counter()
     d = make_dilation(GENERATORS["diag321"])
     p = QuantizerParams(nu=0.7, delta_angle=DELTA, dim=3)
-    fd = FundamentalDomain(DiscreteDilation(d, p.radial_step),
-                           rho=p.xi0 / (1.0 + p.delta))
+    fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
 
     def ratio(x):
         return float(np.linalg.norm(phi(d, hom_quantize(d, p, x)) - phi(d, x))
@@ -194,7 +193,7 @@ def test_quantization_error_scale_invariance():
                                      seed=505))
     global_max = max(ratio(x) for x in xs)
     folded_max = max(
-        ratio(d.apply(-projection_index(fd, x) * fd.discrete.step, x)) for x in xs)
+        ratio(d.apply(-projection_index(fd, x) * fd.step, x)) for x in xs)
     elapsed = time.perf_counter() - t0
     gap = abs(global_max - folded_max)
     ok = gap <= 1e-7
@@ -215,7 +214,7 @@ def benchmark_runs():
     x0 = np.ones(3)
     t0 = time.perf_counter()
     nominal = simulate(plant, fb, None, x0, 1e-4, 20.0)
-    quantized = simulate(plant, fb, (plant.dilation, p), x0, 1e-4, 20.0)
+    quantized = simulate(plant, fb, p, x0, 1e-4, 20.0)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(plant=plant, params=p, nominal=nominal,
                            quantized=quantized, elapsed=elapsed)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from homquant import (
-    DiscreteDilation,
     FundamentalDomain,
     NonPositiveFunctionError,
     NotPositiveDefiniteError,
@@ -145,7 +144,7 @@ def test_hom_sector_scaled_map(diag321):
 # ------------------------------------------------------------- ratio bounds
 
 def test_ratio_bounds_exact_power_relation(diag321):
-    fd = FundamentalDomain(DiscreteDilation(diag321, math.log(2.0)), rho=1.0)
+    fd = FundamentalDomain(diag321, math.log(2.0), rho=1.0)
     f1 = lambda z: hom_norm(diag321, z)
     f2 = lambda z: hom_norm(diag321, z) ** 2
     lo, hi = ratio_bounds_on_domain(f1, 1.0, f2, 2.0, fd, SampleSpec(count=500, seed=10))
@@ -164,8 +163,8 @@ def test_ratio_bounds_direction_dependent(diag321):
         return r ** 2 * (1.5 + u[0])
 
     spec = SampleSpec(count=800, seed=11)
-    near = FundamentalDomain(DiscreteDilation(diag321, math.log(2.0)), rho=1.0)
-    far = FundamentalDomain(DiscreteDilation(diag321, math.log(2.0)), rho=64.0)
+    near = FundamentalDomain(diag321, math.log(2.0), rho=1.0)
+    far = FundamentalDomain(diag321, math.log(2.0), rho=64.0)
     lo1, hi1 = ratio_bounds_on_domain(f1, 1.0, f2, 2.0, near, spec)
     lo2, hi2 = ratio_bounds_on_domain(f1, 1.0, f2, 2.0, far, spec)
     assert hi1 > lo1 + 0.1
@@ -174,14 +173,14 @@ def test_ratio_bounds_direction_dependent(diag321):
 
 
 def test_ratio_bounds_requires_positive_denominator(diag321):
-    fd = FundamentalDomain(DiscreteDilation(diag321, 1.0))
+    fd = FundamentalDomain(diag321, 1.0)
     with pytest.raises(NonPositiveFunctionError):
         ratio_bounds_on_domain(lambda z: -1.0, 1.0, lambda z: 1.0, 1.0, fd,
                                SampleSpec(count=50, seed=12))
 
 
 def test_ratio_bounds_rejects_bad_degrees(diag321):
-    fd = FundamentalDomain(DiscreteDilation(diag321, 1.0))
+    fd = FundamentalDomain(diag321, 1.0)
     with pytest.raises(ValueError):
         ratio_bounds_on_domain(lambda z: 1.0, 0.0, lambda z: 1.0, 1.0, fd,
                                SampleSpec(count=50, seed=12))

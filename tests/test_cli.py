@@ -8,6 +8,7 @@ import pytest
 
 from homquant import ConfigParseError, ConfigValidationError, UnknownSuiteError
 from homquant.cli import cmd_check, main, parse_config, serialize_config
+from homquant.suites import SUITE_NAMES
 
 MINIMAL = """
 # benchmark loop
@@ -192,7 +193,7 @@ def test_csv_values_roundtrip_exactly(tmp_path):
     plant = example_plant()
     fb = HomFeedback(gain=[[-5.5055, -15.8387, -16.3807]], norm_power=4.0)
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
-    traj = simulate(plant, fb, (plant.dilation, p), np.ones(3), 0.001, 0.05)
+    traj = simulate(plant, fb, p, np.ones(3), 0.001, 0.05)
     _, rows = _read_csv(out_path)
     assert np.array_equal(rows[:, 1:4], traj.states)
     assert np.array_equal(rows[:, 7], traj.controls[:, 0])
@@ -248,9 +249,10 @@ def test_seeds_rejects_bad_level_syntax(tmp_path):
 
 # ------------------------------------------------------------------ check cmd
 
-def test_check_subcommand_passes():
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_check_subcommand_passes(suite):
     stream = io.StringIO()
-    assert cmd_check("dilation", stream=stream) == 0
+    assert cmd_check(suite, stream=stream) == 0
     lines = stream.getvalue().splitlines()
     assert lines and all(line.startswith("PASS ") for line in lines)
     assert lines == sorted(lines)

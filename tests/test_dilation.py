@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homquant import (
-    DiscreteDilation,
     NotMonotoneError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -219,20 +218,3 @@ def test_norm_bounds_rejects_non_finite(diag321):
         dilation_norm_bounds(diag321, math.inf)
     with pytest.raises(ValueError):
         dilate(diag321, math.nan)
-
-
-# ----------------------------------------------------------- discrete subgroup
-
-def test_discrete_dilation_grid(diag321):
-    dd = DiscreteDilation(diag321, step=0.5)
-    assert dd.param(0) == 0.0
-    assert dd.param(3) == 1.5
-    assert dd.param(-2) == -1.0
-    assert dd.base is diag321
-
-
-def test_discrete_dilation_rejects_bad_step(diag321):
-    with pytest.raises(ValueError):
-        DiscreteDilation(diag321, step=0.0)
-    with pytest.raises(ValueError):
-        DiscreteDilation(diag321, step=-1.0)

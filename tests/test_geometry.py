@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homquant import (
-    DiscreteDilation,
     FundamentalDomain,
+    HomFeedback,
     HomNormConfig,
     NegativeInputError,
+    NonFiniteInputError,
+    QuantizerParams,
     ZeroVectorError,
     distance_bound_alpha1,
-    distance_bound_alpha2,
+    hom_feedback_eval,
     hom_inner,
     hom_norm,
     hom_norm_many,
     hom_project,
+    hom_quantize,
+    log_quantize,
     make_dilation,
     matrix_tilde_apply,
     phi,
@@ -27,6 +31,7 @@ from homquant import (
     projection_index,
     tilde_add,
     tilde_scale,
+    to_spherical,
 )
 from homquant.errors import NoConvergenceError
 from homquant.geometry import _solve
@@ -176,6 +181,40 @@ def test_config_validation():
         HomNormConfig(zero_threshold=-1.0)
 
 
+# ----------------------------------------------------------- non-finite input
+
+_P = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+_FB = HomFeedback(gain=[[-1.0, -1.0, -1.0]], norm_power=1.0)
+# A NaN row between a finite row and the origin.
+_ROWS = np.array([[1.0, 1.0, 1.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+NON_FINITE_CALLS = {
+    "hom_norm_many": lambda d: hom_norm_many(d, _ROWS),
+    "phi_many": lambda d: phi_many(d, _ROWS),
+    "hom_norm": lambda d: hom_norm(d, [math.nan, 1.0, 0.0]),
+    "hom_project": lambda d: hom_project(d, [1.0, -math.inf, 0.0]),
+    "phi": lambda d: phi(d, [0.0, 0.0, math.nan]),
+    "projection_index": lambda d: projection_index(FundamentalDomain(d, 1.0),
+                                                   [math.inf, 1.0, 1.0]),
+    "hom_quantize": lambda d: hom_quantize(d, _P, [math.inf, 0.0, 0.0]),
+    "hom_feedback_eval": lambda d: hom_feedback_eval(_FB, d, [math.nan, 1.0, 1.0]),
+    "to_spherical-nan": lambda d: to_spherical([math.nan, 1.0, 0.0]),
+    "to_spherical-inf": lambda d: to_spherical([math.inf, 1.0, 0.0]),
+    "log_quantize-inf": lambda d: log_quantize(_P, math.inf),
+    "log_quantize-nan": lambda d: log_quantize(_P, math.nan),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+@pytest.mark.parametrize("label", ["diag321", "diag321-weighted"])
+def test_non_finite_input_rejected(label, call):
+    """NaN or infinite input fails at once with one error type: no silent 0,
+    no numpy warning, no exhausted iteration budget."""
+    gen, weight, _ = WARM_START_DILATIONS[label]
+    with pytest.raises(NonFiniteInputError):
+        NON_FINITE_CALLS[call](make_dilation(gen, weight))
+
+
 # ----------------------------------------------------------------- projection
 
 def test_projection_is_unit_and_scale_invariant(any_dilation, rng):
@@ -291,7 +330,7 @@ def test_matrix_tilde_apply(diag321, rng):
 )
 def test_projection_index_membership(r, a, rho):
     d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-    fd = FundamentalDomain(DiscreteDilation(d, a), rho=rho)
+    fd = FundamentalDomain(d, a, rho=rho)
     x = d.apply(math.log(r), np.array([0.0, 0.0, 1.0]))
     k = projection_index(fd, x)
     folded = hom_norm(d, x) * math.exp(-k * a)
@@ -301,7 +340,7 @@ def test_projection_index_membership(r, a, rho):
 
 
 def test_projection_index_interior_cell(diag321):
-    fd = FundamentalDomain(DiscreteDilation(diag321, math.log(2.0)), rho=1.0)
+    fd = FundamentalDomain(diag321, math.log(2.0), rho=1.0)
     # homogeneous norm 4 * e^0.1 sits strictly inside cell k = 2.
     u = np.array([0.3, -0.8, 0.52])
     u /= np.linalg.norm(u)
@@ -313,7 +352,7 @@ def test_projection_index_near_cell_edge(diag321):
     """A point whose radius lands on a cell edge folds into one of the two
     adjacent cells, and the membership inequality still holds exactly."""
     a = math.log(2.0)
-    fd = FundamentalDomain(DiscreteDilation(diag321, a), rho=1.0)
+    fd = FundamentalDomain(diag321, a, rho=1.0)
     x = np.array([64.0, 0.0, 0.0])  # homogeneous norm 4 up to solver roundoff
     k = projection_index(fd, x)
     assert k in (1, 2)
@@ -322,14 +361,18 @@ def test_projection_index_near_cell_edge(diag321):
 
 
 def test_projection_index_rejects_origin(diag321):
-    fd = FundamentalDomain(DiscreteDilation(diag321, 1.0))
+    fd = FundamentalDomain(diag321, 1.0)
     with pytest.raises(ZeroVectorError):
         projection_index(fd, np.zeros(3))
 
 
 def test_fundamental_domain_validation(diag321):
     with pytest.raises(ValueError):
-        FundamentalDomain(DiscreteDilation(diag321, 1.0), rho=0.0)
+        FundamentalDomain(diag321, 1.0, rho=0.0)
+    with pytest.raises(ValueError):
+        FundamentalDomain(diag321, 0.0)
+    with pytest.raises(ValueError):
+        FundamentalDomain(diag321, -1.0)
 
 
 # ------------------------------------------------------------- distance bounds
@@ -357,10 +400,3 @@ def test_alpha1_dominates_sampled_distances(diag321, rng):
         assert (hom_norm(diag321, gap) / hom_norm(diag321, x)) ** 2 <= bound
         # the bound also covers the plain coordinate difference
         assert (hom_norm(diag321, y - x) / hom_norm(diag321, x)) ** 2 <= bound
-
-
-def test_alpha2_is_nonpositive_diagnostic(diag321):
-    for t in (0.0, 0.1, 1.0, 5.0):
-        assert distance_bound_alpha2(diag321, t) <= 0.0
-    with pytest.raises(NegativeInputError):
-        distance_bound_alpha2(diag321, -1.0)

@@ -100,6 +100,12 @@ def test_simulate_argument_validation(plant, feedback):
         simulate(plant, feedback, None, np.ones(4), 0.01, 1.0)
 
 
+def test_simulate_quant_must_be_params_or_none(plant, feedback):
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    with pytest.raises(TypeError):
+        simulate(plant, feedback, (plant.dilation, p), np.ones(3), 1e-2, 0.1)
+
+
 def test_origin_is_equilibrium(plant, feedback):
     traj = simulate(plant, feedback, None, np.zeros(3), 1e-2, 0.3)
     assert np.max(np.abs(traj.states)) == 0.0
@@ -146,8 +152,7 @@ def test_scaling_symmetry_of_discrete_flow(plant, feedback):
 
 def test_quantized_run_records_quantizer_outputs(plant, feedback):
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
-    traj = simulate(plant, feedback, (plant.dilation, p),
-                    np.array([1.0, 1.0, 1.0]), 1e-3, 0.4)
+    traj = simulate(plant, feedback, p, np.array([1.0, 1.0, 1.0]), 1e-3, 0.4)
     d = plant.dilation
     for k in range(0, len(traj), 40):
         expect = hom_quantize(d, p, traj.states[k])
@@ -158,8 +163,7 @@ def test_quantized_run_records_quantizer_outputs(plant, feedback):
 
 def test_quantized_norms_on_grid(plant, feedback):
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
-    traj = simulate(plant, feedback, (plant.dilation, p),
-                    np.array([1.0, 1.0, 1.0]), 1e-3, 0.4)
+    traj = simulate(plant, feedback, p, np.array([1.0, 1.0, 1.0]), 1e-3, 0.4)
     for row in traj.quantized_states[::20]:
         rq = hom_norm(plant.dilation, row)
         steps = (math.log(rq) - math.log(p.xi0)) / math.log(p.nu)
