@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homquant import (
+    FundamentalDomain,
     NotMonotoneError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -218,3 +219,12 @@ def test_norm_bounds_rejects_non_finite(diag321):
         dilation_norm_bounds(diag321, math.inf)
     with pytest.raises(ValueError):
         dilate(diag321, math.nan)
+
+
+# ----------------------------------------------------------- discrete subgroup
+
+def test_discrete_dilation_rejects_bad_step(diag321):
+    with pytest.raises(ValueError):
+        FundamentalDomain(diag321, step=0.0)
+    with pytest.raises(ValueError):
+        FundamentalDomain(diag321, step=-1.0)

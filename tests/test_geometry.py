@@ -369,10 +369,6 @@ def test_projection_index_rejects_origin(diag321):
 def test_fundamental_domain_validation(diag321):
     with pytest.raises(ValueError):
         FundamentalDomain(diag321, 1.0, rho=0.0)
-    with pytest.raises(ValueError):
-        FundamentalDomain(diag321, 0.0)
-    with pytest.raises(ValueError):
-        FundamentalDomain(diag321, -1.0)
 
 
 # ------------------------------------------------------------- distance bounds
