@@ -43,6 +43,10 @@ class NonFiniteInputError(HomquantError, ValueError):
     """An input state, norm or coordinate has a NaN or infinite entry."""
 
 
+class NormOverflowError(HomquantError, OverflowError):
+    """A homogeneous norm, or a state built from one, exceeds the largest float."""
+
+
 class NonPositiveFunctionError(HomquantError, ValueError):
     """A function required to be positive on the sample set was not."""
 

@@ -16,12 +16,22 @@ vectors always use the weight matrix of the dilation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dilation import Dilation
-from .errors import NegativeInputError, NoConvergenceError, NonFiniteInputError, ZeroVectorError
+from .errors import (
+    NegativeInputError,
+    NoConvergenceError,
+    NonFiniteInputError,
+    NormOverflowError,
+    ZeroVectorError,
+)
+
+# Largest s with a finite exp(s): the log of the largest homogeneous norm.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -60,16 +70,17 @@ class FundamentalDomain:
 
 
 def _solve(d: Dilation, x: np.ndarray, cfg: HomNormConfig,
-           s0: float | None = None, nrm: float | None = None) -> tuple[float, np.ndarray]:
+           s0: float | None = None, t: float | None = None) -> tuple[float, np.ndarray]:
     """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit vector ``exp(-s*G) x``.
 
     The caller guarantees ``|x|_P`` is above the zero threshold and may pass
-    it as ``nrm``.  ``s0`` warm-starts the iteration (a nearby state's root,
-    say); a guess that is not strictly inside the global bracket, NaN or
-    infinite included, is replaced by the bracket midpoint, and the bracket
-    keeps safeguarding every step either way.
+    its logarithm as ``t``.  ``s0`` warm-starts the iteration (a nearby
+    state's root, say); a guess that is not strictly inside the global
+    bracket, NaN or infinite included, is replaced by the bracket midpoint,
+    and the bracket keeps safeguarding every step either way.
     """
-    t = math.log(d.weighted_norm(x) if nrm is None else nrm)
+    if t is None:
+        t = math.log(d.weighted_norm(x))
     if t >= 0:
         lo, hi = t / d.eta_max, t / d.eta_min
     else:
@@ -113,9 +124,14 @@ def _solve(d: Dilation, x: np.ndarray, cfg: HomNormConfig,
             lo = s
         else:
             hi = s
-        # Newton step on log|exp(-s*G) x|_P; the slope is bounded away from 0.
-        slope = qg / q
-        s_next = s + 0.5 * math.log(q) / slope
+        try:
+            # Newton step on log|exp(-s*G) x|_P.  The slope qg/q is bounded
+            # away from 0, but far from the root of a huge state q can
+            # underflow to 0 (log and division raise) or overflow to inf
+            # (the step is NaN); the bisection below takes over either way.
+            s_next = s + 0.5 * math.log(q) / (qg / q)
+        except (ValueError, ZeroDivisionError):
+            s_next = math.nan
         if not (lo < s_next < hi):
             s_next = 0.5 * (lo + hi)
         s = s_next
@@ -125,9 +141,10 @@ def _solve(d: Dilation, x: np.ndarray, cfg: HomNormConfig,
     )
 
 
-def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero)."""
-    t = np.log(d.weighted_norms(cols))
+def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero),
+    given their ``log|x|_P`` as ``t``."""
     lo = np.where(t >= 0, t / d.eta_max, t / d.eta_min)
     hi = np.where(t >= 0, t / d.eta_min, t / d.eta_max)
     s = 0.5 * (lo + hi)
@@ -147,23 +164,47 @@ def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig) -> tuple[np.n
         slope = np.einsum("ij,ij->j", y, pg @ y) / q
         s_next = s + 0.5 * np.log(q) / slope
         mid = 0.5 * (lo + hi)
-        s_next = np.where((s_next <= lo) | (s_next >= hi), mid, s_next)
+        s_next = np.where((lo < s_next) & (s_next < hi), s_next, mid)
         s = np.where(done, s, s_next)
     raise NoConvergenceError(
         f"vectorized homogeneous norm solve did not converge in {cfg.max_iter} iterations"
     )
 
 
+def _scaled_log_norms(d: Dilation, cols: np.ndarray) -> np.ndarray:
+    """``log|x|_P`` of each finite nonzero column ``x`` of ``cols``, computed on
+    ``x / max_i |x_i|`` so that it stays finite where ``|x|_P`` overflows."""
+    c = np.max(np.abs(cols), axis=0)
+    return np.log(c) + np.log(d.weighted_norms(cols / c))
+
+
+# Floating-point flags a solve on a state whose |x|_P overflows may raise:
+# exp(-s*G) x over- or underflows at iterates far from the root, which the
+# bracket then corrects.
+_HUGE_STATE_ERRSTATE = dict(over="ignore", under="ignore", divide="ignore", invalid="ignore")
+
+
 def _solve_nonzero(d: Dilation, x, cfg: HomNormConfig) -> tuple[float, np.ndarray] | None:
     """:func:`_solve` at ``x``, or ``None`` if ``|x|_P`` is at most the zero threshold.
-    Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry."""
+
+    Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
+    and :class:`NormOverflowError` if the homogeneous norm of ``x`` exceeds
+    the largest float.
+    """
     x = np.asarray(x, dtype=float)
     nrm = d.weighted_norm(x)
     if nrm <= cfg.zero_threshold:
         return None
-    if not math.isfinite(nrm) and not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("state has a NaN or infinite entry")
-    return _solve(d, x, cfg, nrm=nrm)
+    if math.isfinite(nrm):
+        root = _solve(d, x, cfg, t=math.log(nrm))
+    else:
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteInputError("state has a NaN or infinite entry")
+        with np.errstate(**_HUGE_STATE_ERRSTATE):
+            root = _solve(d, x, cfg, t=float(_scaled_log_norms(d, x[:, None])[0]))
+    if root[0] > _LOG_MAX:
+        raise NormOverflowError("homogeneous norm of the state exceeds the largest float")
+    return root
 
 
 def _solve_many_nonzero(d: Dilation, xs, cfg: HomNormConfig):
@@ -171,10 +212,23 @@ def _solve_many_nonzero(d: Dilation, xs, cfg: HomNormConfig):
     of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects."""
     cols = np.asarray(xs, dtype=float).T
     nrm = d.weighted_norms(cols)
-    if not np.all(np.isfinite(cols[:, ~np.isfinite(nrm)])):
+    # A NaN or infinite |x|_P comes from a NaN or infinite entry or from an
+    # overflow (to inf, or to NaN as inf - inf under a weight).
+    over = ~np.isfinite(nrm)
+    huge = over.any()
+    if huge and not np.all(np.isfinite(cols[:, over])):
         raise NonFiniteInputError("a sample row has a NaN or infinite entry")
-    mask = nrm > cfg.zero_threshold
-    s, y = _solve_many(d, cols[:, mask], cfg)
+    mask = over | (nrm > cfg.zero_threshold)
+    sel = cols[:, mask]
+    with np.errstate(**(_HUGE_STATE_ERRSTATE if huge else {})):
+        # The norms of the contiguous copy: their last bits can differ from
+        # those of the strided rows.
+        t = np.log(d.weighted_norms(sel))
+        if huge:
+            t[over[mask]] = _scaled_log_norms(d, cols[:, over])
+        s, y = _solve_many(d, sel, cfg, t)
+    if s.size and s.max() > _LOG_MAX:
+        raise NormOverflowError("homogeneous norm of a sample row exceeds the largest float")
     return cols, mask, s, y
 
 
@@ -215,7 +269,18 @@ def phi_inv(d: Dilation, z, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     nrm = d.weighted_norm(z)
     if nrm <= cfg.zero_threshold:
         return np.zeros(d.dim)
-    return d.apply(math.log(nrm), z) / nrm
+    if math.isfinite(nrm):
+        return d.apply(math.log(nrm), z) / nrm
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteInputError("state has a NaN or infinite entry")
+    # |z|_P overflows: exponentiate the unit vector z / |z|_P instead.
+    c = float(np.max(np.abs(z)))
+    w = d.weighted_norm(z / c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = d.apply(math.log(c) + math.log(w), z / c / w)
+    if not np.all(np.isfinite(x)):
+        raise NormOverflowError("exp(ln|z|_P G) overflows at this state")
+    return x
 
 
 def phi_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -266,6 +331,8 @@ def tilde_scale(d: Dilation, lam: float, x) -> np.ndarray:
     """Scalar action: ``sign(lam) * exp(ln|lam| G) x``; ``lam = 0`` gives the origin."""
     lam = float(lam)
     x = np.asarray(x, dtype=float)
+    if not (math.isfinite(lam) and np.all(np.isfinite(x))):
+        raise NonFiniteInputError("scalar or state has a NaN or infinite entry")
     if lam == 0.0:
         return np.zeros(d.dim)
     scaled = d.apply(math.log(abs(lam)), x)

@@ -170,7 +170,7 @@ def simulate(plant: HomPlant, fb: HomFeedback,
             return np.asarray(drift(x), dtype=float) + b.dot(u), x, u, -math.inf
         if not math.isfinite(nrm):
             return np.full(n, math.nan), x, np.zeros(m), math.inf
-        s, y = _solve(d, x, cfg, s0, nrm)
+        s, y = _solve(d, x, cfg, s0, math.log(nrm))
         x_hat = x
         if quant is None:
             u = math.exp(s * kappa) * gain.dot(y)

@@ -2,10 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homquant
 from homquant import ConfigParseError, ConfigValidationError, UnknownSuiteError
 from homquant.cli import cmd_check, main, parse_config, serialize_config
 from homquant.suites import SUITE_NAMES
@@ -298,3 +303,16 @@ def test_unwritable_output_exits_3(tmp_path):
     cfg_path.write_text(MINIMAL + "step = 0.01\nt_end = 0.05\n")
     out_path = tmp_path / "no" / "such" / "dir" / "o.csv"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 3
+
+
+# ----------------------------------------------------------- import footprint
+
+def test_import_does_not_load_scipy():
+    """The package and its command line run on numpy alone; scipy is a test
+    dependency, and importing it would add to every cold start."""
+    src = str(Path(homquant.__file__).resolve().parents[1])
+    code = ("import sys, homquant, homquant.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

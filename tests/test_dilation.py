@@ -175,6 +175,74 @@ def test_apply_each_matches_apply(label, rng):
         assert np.allclose(out[:, j], d.apply(svals[j], cols[:, j]), rtol=1e-11, atol=1e-13)
 
 
+def _upper_triangular_exp(a, b, c):
+    """exp(s*[[a, c], [0, b]]) for a != b, off-diagonal without cancellation."""
+    def f(s):
+        off = c * math.exp(b * s) * math.expm1((a - b) * s) / (a - b)
+        return np.array([[math.exp(a * s), off], [0.0, math.exp(b * s)]])
+    return f
+
+
+def _rotate2_exp(s):
+    # G = 1.5 I + K with K @ K = -1.25 I
+    w = math.sqrt(1.25)
+    k = GENERATORS["rotate2"] - 1.5 * np.eye(2)
+    return math.exp(1.5 * s) * (math.cos(w * s) * np.eye(2) + math.sin(w * s) / w * k)
+
+
+def _jordan_exp(n):
+    def f(s):
+        return math.exp(s) * sum(np.linalg.matrix_power(np.eye(n, k=1) * s, i) / math.factorial(i)
+                                 for i in range(n))
+    return f
+
+
+# Generator, the backend make_dilation must pick, and the closed form of
+# exp(s*G).  The near-defective pairs have cond(V) of 2e10 and 2e12: their
+# eigendecomposition reconstructs G but loses up to 1e-4 of exp(s*G).
+CLOSED_FORMS = {
+    "diag321": (GENERATORS["diag321"], "diag", lambda s: np.diag(np.exp(s * np.array([3.0, 2.0, 1.0])))),
+    "rotate2": (GENERATORS["rotate2"], "eig", _rotate2_exp),
+    "shear2": (GENERATORS["shear2"], "eig", _upper_triangular_exp(1.5, 1.0, 0.6)),
+    "jordan2": (np.array([[1.0, 1.0], [0.0, 1.0]]), "expm", _jordan_exp(2)),
+    "jordan3": (np.eye(3) + np.eye(3, k=1), "expm", _jordan_exp(3)),
+    "near-defective-1e-10": (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]]), "expm",
+                             _upper_triangular_exp(1.0, 1.0 + 1e-10, 1.0)),
+    "near-defective-1e-12": (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]]), "expm",
+                             _upper_triangular_exp(1.0, 1.0 + 1e-12, 1.0)),
+}
+S_VALUES = np.array([0.0, 1e-300, -1e-300, 1e-12, -1e-9, 0.3, -1.7, 5.0, -12.5, 20.0, -30.0, 30.0])
+# Normwise relative error allowed against the closed forms over |s| <= 30.
+BACKEND_TOL = 1e-13
+
+
+@pytest.mark.parametrize("label", sorted(CLOSED_FORMS))
+def test_backends_match_closed_forms(label, rng):
+    generator, mode, exact = CLOSED_FORMS[label]
+    d = make_dilation(generator)
+    assert d._mode == mode
+    cols = rng.standard_normal((d.dim, S_VALUES.size))
+    each = d.apply_each(S_VALUES, cols)
+    for j, s in enumerate(S_VALUES):
+        m = exact(s)
+        scale = np.linalg.norm(m, 1)
+        assert np.linalg.norm(d.matrix(s) - m, 1) <= BACKEND_TOL * scale
+        for got in (d.apply(s, cols[:, j]), each[:, j]):
+            assert np.linalg.norm(got - m @ cols[:, j], 1) <= BACKEND_TOL * scale * np.linalg.norm(cols[:, j], 1)
+
+
+@pytest.mark.parametrize("label", [k for k, v in sorted(CLOSED_FORMS.items()) if v[1] != "eig"])
+def test_apply_is_a_column_of_apply_each(label, rng):
+    """On the diag and expm backends apply and apply_each do the same arithmetic."""
+    d = make_dilation(CLOSED_FORMS[label][0])
+    svals = np.concatenate([S_VALUES, rng.uniform(-30.0, 30.0, 200)])
+    cols = rng.standard_normal((d.dim, svals.size))
+    each = d.apply_each(svals, cols)
+    for j, s in enumerate(svals):
+        one = d.apply(s, cols[:, j])
+        assert np.linalg.norm(one - each[:, j]) <= 1e-15 * np.linalg.norm(each[:, j])
+
+
 def test_weighted_norm(rng):
     p = np.array([[2.0, 0.3], [0.3, 1.0]])
     d = make_dilation(np.eye(2), weight=p)

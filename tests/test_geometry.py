@@ -13,8 +13,11 @@ from homquant import (
     HomNormConfig,
     NegativeInputError,
     NonFiniteInputError,
+    NormOverflowError,
     QuantizerParams,
     ZeroVectorError,
+    dilate,
+    dilation_norm_bounds,
     distance_bound_alpha1,
     hom_feedback_eval,
     hom_inner,
@@ -149,8 +152,8 @@ def test_solve_warm_start_returns_cold_root(label, rng):
         starts = (s_cold, s_cold + 1e-9, s_cold - 1e-3, s_cold + 0.5, lo, hi,
                   lo - 1.0, hi + 1.0, math.nan, math.inf, -math.inf)
         for s0 in starts:
-            for given_nrm in (None, nrm):
-                s, y = _solve(d, x, cfg, s0, given_nrm)
+            for given_t in (None, t):
+                s, y = _solve(d, x, cfg, s0, given_t)
                 assert math.exp(s) == pytest.approx(math.exp(s_cold), rel=cfg.rel_tol)
                 assert abs(d.weighted_norm(y) - 1.0) <= cfg.rel_tol
                 assert np.allclose(y, d.apply(-s, x), rtol=1e-13, atol=0.0)
@@ -201,6 +204,11 @@ NON_FINITE_CALLS = {
     "to_spherical-inf": lambda d: to_spherical([math.inf, 1.0, 0.0]),
     "log_quantize-inf": lambda d: log_quantize(_P, math.inf),
     "log_quantize-nan": lambda d: log_quantize(_P, math.nan),
+    "phi_inv": lambda d: phi_inv(d, [math.nan, 1.0, 0.0]),
+    "tilde_scale-state": lambda d: tilde_scale(d, 2.0, [math.inf, 0.0, 0.0]),
+    "tilde_scale-scalar": lambda d: tilde_scale(d, math.nan, [1.0, 0.0, 0.0]),
+    "dilate": lambda d: dilate(d, math.nan),
+    "dilation_norm_bounds": lambda d: dilation_norm_bounds(d, math.inf),
 }
 
 
@@ -213,6 +221,57 @@ def test_non_finite_input_rejected(label, call):
     gen, weight, _ = WARM_START_DILATIONS[label]
     with pytest.raises(NonFiniteInputError):
         NON_FINITE_CALLS[call](make_dilation(gen, weight))
+
+
+# A finite state whose |x|_P overflows (entries above ~1e154 square to inf;
+# under the first weight 1e400 - 0.9e400 + 0.25e400 gives inf - inf), with
+# its exact homogeneous norm, or None where the test checks the defining
+# equation instead.
+_HUGE_STATES = {
+    "weighted-identity": (np.eye(2), [[1.0, 0.9], [0.9, 1.0]], [1e200, -0.5e200],
+                          math.sqrt(0.35) * 1e200),
+    "diag321-1e160": (GENERATORS["diag321"], None, [1e160, 0.0, 0.0], 1e160 ** (1.0 / 3.0)),
+    "diag321-1e300": (GENERATORS["diag321"], None, [1e300, 0.0, 0.0], 1e100),
+    "diag321-weighted": (GENERATORS["diag321"], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
+                         [1e200, -1e200, 1e100], None),
+    "rotate2": (GENERATORS["rotate2"], None, [1e300, 1e300], None),
+    "jordan2": (np.array([[1.0, 1.0], [0.0, 1.0]]), None, [0.0, 1e300], None),
+}
+
+
+# The identity weight's scalar |x|_P is a numpy dot product, which warns when
+# the sum of squares overflows; the gate then handles the state.
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("label", sorted(_HUGE_STATES))
+def test_norm_of_state_whose_weighted_norm_overflows(label):
+    gen, weight, x, exact = _HUGE_STATES[label]
+    d = make_dilation(gen, weight)
+    x = np.array(x)
+    r = hom_norm(d, x)
+    many = hom_norm_many(d, np.array([x, np.ones(d.dim), np.zeros(d.dim)]))
+    assert many[0] == pytest.approx(r, rel=1e-12)
+    assert many[1] == pytest.approx(hom_norm(d, np.ones(d.dim)), rel=1e-12)
+    assert many[2] == 0.0
+    if exact is not None:
+        assert r == pytest.approx(exact, rel=1e-12)
+    # Defining equation |exp(-ln r G) x|_P = 1; ln r carries ~700 eps of error.
+    assert d.weighted_norm(d.apply(-math.log(r), x)) == pytest.approx(1.0, rel=1e-10)
+    z = phi(d, x)
+    assert np.allclose(phi_many(d, x[None, :])[0], z, rtol=1e-12, atol=0.0)
+    assert np.allclose(hom_project(d, x), z / r, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_norm_past_the_largest_float_raises():
+    """The homogeneous norm of (1.5e308, 1.5e308) is 2.1e308 for G = I."""
+    d = make_dilation(np.eye(2))
+    x = [1.5e308, 1.5e308]
+    for call in (hom_norm, phi, hom_project):
+        with pytest.raises(NormOverflowError):
+            call(d, x)
+    for call in (hom_norm_many, phi_many):
+        with pytest.raises(NormOverflowError):
+            call(d, np.array([x, [1.0, 1.0]]))
 
 
 # ----------------------------------------------------------------- projection
