@@ -197,9 +197,9 @@ def _solve_nonzero(d: Dilation, x, cfg: HomNormConfig) -> tuple[float, np.ndarra
         return None
     if math.isfinite(nrm):
         root = _solve(d, x, cfg, t=math.log(nrm))
+    elif not np.all(np.isfinite(x)):
+        raise NonFiniteInputError("state has a NaN or infinite entry")
     else:
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteInputError("state has a NaN or infinite entry")
         with np.errstate(**_HUGE_STATE_ERRSTATE):
             root = _solve(d, x, cfg, t=float(_scaled_log_norms(d, x[:, None])[0]))
     if root[0] > _LOG_MAX:
