@@ -30,15 +30,14 @@ from .errors import (
 )
 from .geometry import hom_norm
 from .quantizer import QuantizerParams, unit_from_angles
-from .simulation import HomFeedback, HomPlant, Trajectory, _example_drift, simulate
+from .simulation import HomFeedback, Trajectory, example_plant, simulate
 from .suites import SUITE_NAMES, run_suite
 
 _MATRIX_KEYS = ("generator", "weight", "gain")
 _VECTOR_KEYS = ("x0",)
 _FLOAT_KEYS = ("norm_power", "nu", "delta_angle", "step", "t_end")
-_INT_KEYS = ("rng_seed",)
 _BOOL_KEYS = ("quantized",)
-_ALL_KEYS = _MATRIX_KEYS + _VECTOR_KEYS + _FLOAT_KEYS + _INT_KEYS + _BOOL_KEYS
+_ALL_KEYS = _MATRIX_KEYS + _VECTOR_KEYS + _FLOAT_KEYS + _BOOL_KEYS
 _REQUIRED_KEYS = ("generator", "gain", "nu", "delta_angle", "x0")
 
 
@@ -54,7 +53,6 @@ class RunConfig:
     step: float = 1e-4
     t_end: float = 20.0
     quantized: bool = True
-    rng_seed: int = 42
 
 
 def _parse_matrix(text: str, line: int, col: int) -> np.ndarray:
@@ -115,11 +113,6 @@ def parse_config(text: str) -> RunConfig:
                 fields[key] = float(value)
             except ValueError:
                 raise ConfigParseError(lineno, vcol, f"bad number {value!r}")
-        elif key in _INT_KEYS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ConfigParseError(lineno, vcol, f"bad integer {value!r}")
         else:
             low = value.lower()
             if low not in ("true", "false"):
@@ -183,7 +176,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"step = {_fmt(cfg.step)}",
         f"t_end = {_fmt(cfg.t_end)}",
         f"quantized = {'true' if cfg.quantized else 'false'}",
-        f"rng_seed = {cfg.rng_seed}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -208,8 +200,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
             "generator", "simulate drives the built-in 3-state plant; need a 3x3 generator")
     d = make_dilation(cfg.generator, cfg.weight)
     try:
-        plant = HomPlant(drift=_example_drift, input_matrix=np.array([[1.0], [0.0], [0.0]]),
-                         degree=1.0, dilation=d)
+        plant = example_plant(d)
     except ValueError as exc:
         raise ConfigValidationError("generator", str(exc))
     fb = HomFeedback(gain=cfg.gain, norm_power=cfg.norm_power)

@@ -32,6 +32,9 @@ from .errors import (
 
 # Largest s with a finite exp(s): the log of the largest homogeneous norm.
 _LOG_MAX = math.log(sys.float_info.max)
+# Below this log-size exp(s*G) x cannot overflow; the margin of 100 below
+# _LOG_MAX covers the conditioning of the weight and of the eigenvectors.
+_LOG_SAFE = _LOG_MAX - 100.0
 
 
 @dataclass(frozen=True)
@@ -263,24 +266,44 @@ def phi(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     return math.exp(s) * y
 
 
+def _apply_unit(d: Dilation, s: float, u: np.ndarray) -> np.ndarray:
+    """``exp(s*G) u`` for a unit ``u``, or :class:`NormOverflowError` where it
+    overflows.  Its weighted norm is at most ``exp(s*eta_max)``, so only an
+    ``s`` within reach of overflow pays for the finiteness check."""
+    if s * d.eta_max <= _LOG_SAFE:
+        return d.apply(s, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = d.apply(s, u)
+    if not np.all(np.isfinite(x)):
+        raise NormOverflowError("exp(s*G) overflows at this state")
+    return x
+
+
 def phi_inv(d: Dilation, z, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Inverse straightening map ``z -> exp(ln|z|_P G) z / |z|_P``."""
+    """Inverse straightening map ``z -> exp(ln|z|_P G) z / |z|_P``; raises
+    :class:`NormOverflowError` where the result is past the largest float."""
     z = np.asarray(z, dtype=float)
     nrm = d.weighted_norm(z)
     if nrm <= cfg.zero_threshold:
         return np.zeros(d.dim)
     if math.isfinite(nrm):
-        return d.apply(math.log(nrm), z) / nrm
-    if not np.all(np.isfinite(z)):
+        t = math.log(nrm)
+        # |exp(tG) z|_P <= exp(t*eta_max) |z|_P = exp(t*(eta_max + 1)).
+        if t * (d.eta_max + 1.0) <= _LOG_SAFE:
+            return d.apply(t, z) / nrm
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = d.apply(t, z) / nrm
+        if np.all(np.isfinite(x)):
+            return x
+        u = z / nrm
+    elif not np.all(np.isfinite(z)):
         raise NonFiniteInputError("state has a NaN or infinite entry")
-    # |z|_P overflows: exponentiate the unit vector z / |z|_P instead.
-    c = float(np.max(np.abs(z)))
-    w = d.weighted_norm(z / c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = d.apply(math.log(c) + math.log(w), z / c / w)
-    if not np.all(np.isfinite(x)):
-        raise NormOverflowError("exp(ln|z|_P G) overflows at this state")
-    return x
+    else:
+        c = float(np.max(np.abs(z)))
+        w = d.weighted_norm(z / c)
+        t, u = math.log(c) + math.log(w), z / c / w
+    # exp(tG) z, or |z|_P itself, overflowed: exponentiate the unit vector z / |z|_P.
+    return _apply_unit(d, t, u)
 
 
 def phi_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
                      NotOnSphereError)
-from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve_nonzero
+from .geometry import DEFAULT_CONFIG, HomNormConfig, _apply_unit, _solve_nonzero
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
@@ -200,14 +200,15 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
 
 def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Composed state quantizer: radial rounding of the homogeneous norm and
-    angular rounding of the unit projection; the origin is a fixed point."""
+    angular rounding of the unit projection; the origin is a fixed point.
+    Raises :class:`NormOverflowError` where the output is past the largest float."""
     root = _solve_nonzero(d, x, cfg)
     if root is None:
         return np.zeros(d.dim)
     s, y = root
     value, _ = log_quantize(p, math.exp(s))
     seed = spherical_quantize(d, p, y)
-    return d.apply(math.log(value), seed)
+    return _apply_unit(d, math.log(value), seed)
 
 
 def angular_error_bound(delta_angle: float, dim: int) -> float:

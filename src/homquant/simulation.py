@@ -98,14 +98,15 @@ def _example_drift(x: np.ndarray) -> np.ndarray:
     return np.array([x2 * x3 * x3 + x2 * x2, x1, x2 + x3 * x3])
 
 
-def example_plant() -> HomPlant:
+def example_plant(dilation: Dilation | None = None) -> HomPlant:
     """Built-in three-state benchmark plant.
 
     Drift ``(x2*x3^2 + x2^2, x1, x2 + x3^2)`` with a single input on the
-    first coordinate; homogeneous of degree 1 under the dilation generated by
-    ``diag(3, 2, 1)`` with identity weight.
+    first coordinate; homogeneous of degree 1 under ``dilation``, by default
+    the one generated by ``diag(3, 2, 1)`` with identity weight.  Raises
+    ``ValueError`` when the drift is not homogeneous under ``dilation``.
     """
-    d = make_dilation(np.diag([3.0, 2.0, 1.0]))
+    d = make_dilation(np.diag([3.0, 2.0, 1.0])) if dilation is None else dilation
     b = np.array([[1.0], [0.0], [0.0]])
     return HomPlant(drift=_example_drift, input_matrix=b, degree=1.0, dilation=d)
 

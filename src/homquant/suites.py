@@ -1,25 +1,48 @@
-"""Named property suites behind the ``check`` CLI subcommand.
+"""Registry of the sampled properties behind the ``check`` CLI subcommand and
+the test suite.
 
-Each suite evaluates a family of sampled invariants against fixed reference
-dilations and reports one ``(name, worst_residual, bound, passed)`` record
-per property.  A property that raises is reported as failed with an infinite
-residual instead of crashing the run, so a corrupted fixture still produces a
-readable FAIL line and a nonzero exit status.
+``PROPERTIES`` lists every guarantee once as ``Property(name, bound, fn)``:
+``fn(rng_seed, nu_override)`` draws its samples from generators seeded by
+``rng_seed`` alone and returns the worst residual, which passes when it is at
+most ``bound``.  The suite is the first dotted part of the name.  A property
+that raises is reported as failed with an infinite residual instead of
+crashing the run, so a corrupted fixture still produces a readable FAIL line
+and a nonzero exit status.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
 from . import checks, geometry, quantizer, simulation
 from .dilation import dilate, dilation_norm_bounds, make_dilation
-from .errors import HomquantError
+from .errors import HomquantError, UnknownSuiteError
 from .geometry import FundamentalDomain
 
-SUITE_NAMES = ("dilation", "norm", "quantizer", "sector", "sim")
+_GENERATORS = {
+    "identity2": np.eye(2),
+    "diag321": np.diag([3.0, 2.0, 1.0]),
+    "shear2": np.array([[1.5, 0.6], [0.0, 1.0]]),
+    "rotate2": np.array([[2.0, -1.5], [1.0, 1.0]]),
+}
+_BENCH_FEEDBACK = simulation.HomFeedback(gain=[[-5.5055, -15.8387, -16.3807]], norm_power=4.0)
+_BENCH_X0 = (1.0, 1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Property:
+    name: str
+    bound: float
+    fn: Callable[[int, float | None], float]
+
+    @property
+    def suite(self) -> str:
+        return self.name.split(".", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -30,21 +53,14 @@ class PropertyResult:
     passed: bool
 
 
-def _reference_dilations():
-    return {
-        "identity2": make_dilation(np.eye(2)),
-        "diag321": make_dilation(np.diag([3.0, 2.0, 1.0])),
-        "shear2": make_dilation([[1.5, 0.6], [0.0, 1.0]]),
-        "rotate2": make_dilation([[2.0, -1.5], [1.0, 1.0]]),
-    }
+@cache
+def _dilation(label: str):
+    return make_dilation(_GENERATORS[label])
 
 
-def _collect(out, name, bound, fn):
-    try:
-        residual = float(fn())
-        out.append(PropertyResult(name, residual, bound, residual <= bound))
-    except (HomquantError, ValueError, ArithmeticError):
-        out.append(PropertyResult(name, math.inf, bound, False))
+@cache
+def _plant():
+    return simulation.example_plant()
 
 
 def _quant_params(dim, nu_override):
@@ -52,279 +68,238 @@ def _quant_params(dim, nu_override):
     return quantizer.QuantizerParams(nu=nu, delta_angle=math.pi / 20, dim=dim)
 
 
-def _suite_dilation(rng_seed, nu_override):
-    out = []
-    for label, d in _reference_dilations().items():
-        rng = np.random.default_rng(rng_seed)
-
-        def group_law(d=d, rng=rng):
-            worst = 0.0
-            for _ in range(100):
-                s, t = rng.uniform(-3.0, 3.0, 2)
-                lhs = dilate(d, s) @ dilate(d, t)
-                rhs = dilate(d, s + t)
-                worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-            return worst
-
-        def commutation(d=d, rng=rng):
-            g = d.generator
-            worst = 0.0
-            for s in rng.uniform(-3.0, 3.0, 20):
-                ds = dilate(d, s)
-                worst = max(worst, np.max(np.abs(g @ ds - ds @ g)))
-            return worst
-
-        def gain_sandwich(d=d, rng=rng):
-            worst = 0.0
-            for _ in range(1000):
-                s = rng.uniform(-3.0, 3.0)
-                x = rng.standard_normal(d.dim)
-                lo, hi = dilation_norm_bounds(d, s)
-                nx = d.weighted_norm(x)
-                nd = d.weighted_norm(d.apply(s, x))
-                worst = max(worst, (lo * nx - nd) / nd, (nd - hi * nx) / nd)
-            return worst
-
-        _collect(out, f"dilation.group_law.{label}", 1e-9, group_law)
-        _collect(out, f"dilation.generator_commutes.{label}", 1e-10, commutation)
-        _collect(out, f"dilation.gain_sandwich.{label}", 1e-9, gain_sandwich)
-    return out
+def _samples(label, rng_seed, count=1000):
+    d = _dilation(label)
+    return d, checks.sample_states(d, checks.SampleSpec(count=count, seed=rng_seed))
 
 
-def _suite_norm(rng_seed, nu_override):
-    out = []
-    spec = checks.SampleSpec(count=1000, seed=rng_seed)
-    for label, d in _reference_dilations().items():
-        xs = checks.sample_states(d, spec)
-        rng = np.random.default_rng(rng_seed + 1)
-
-        def defining_equation(d=d, xs=xs):
-            r = geometry.hom_norm_many(d, xs)
-            units = d.apply_each(-np.log(r), xs.T)
-            return float(np.max(np.abs(d.weighted_norms(units) - 1.0)))
-
-        def norm_homogeneity(d=d, xs=xs, rng=rng):
-            r = geometry.hom_norm_many(d, xs)
-            s = rng.uniform(-3.0, 3.0, len(xs))
-            shifted = geometry.hom_norm_many(d, d.apply_each(s, xs.T).T)
-            return float(np.max(np.abs(shifted - np.exp(s) * r) / (np.exp(s) * r)))
-
-        def euclidean_sandwich(d=d, xs=xs):
-            r = geometry.hom_norm_many(d, xs)
-            nx = d.weighted_norms(xs.T)
-            lo = np.where(nx >= 1.0, r ** d.eta_min, r ** d.eta_max)
-            hi = np.where(nx >= 1.0, r ** d.eta_max, r ** d.eta_min)
-            return float(np.max(np.maximum(lo - nx, nx - hi) / nx))
-
-        def straighten_roundtrip(d=d, xs=xs):
-            px = geometry.phi_many(d, xs)
-            back = np.array([geometry.phi_inv(d, z) for z in px])
-            scale = np.linalg.norm(xs, axis=1)
-            return float(np.max(np.linalg.norm(back - xs, axis=1) / scale))
-
-        _collect(out, f"norm.defining_equation.{label}", 1e-12, defining_equation)
-        _collect(out, f"norm.homogeneity.{label}", 1e-7, norm_homogeneity)
-        _collect(out, f"norm.euclidean_sandwich.{label}", 1e-8, euclidean_sandwich)
-        _collect(out, f"norm.straighten_roundtrip.{label}", 1e-8, straighten_roundtrip)
-
-    def analytic_value():
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        return abs(geometry.hom_norm(d, np.array([8.0, 0.0, 0.0])) - 2.0)
-
-    _collect(out, "norm.analytic_value.diag321", 1e-12, analytic_value)
-    return out
+def _grid_offset(p, rq):
+    """Log-distance of the homogeneous norm ``rq`` from the nearest radial level."""
+    t = (math.log(rq) - math.log(p.xi0)) / math.log(p.nu)
+    return abs(t - round(t)) * abs(math.log(p.nu))
 
 
-def _suite_quantizer(rng_seed, nu_override):
-    out = []
+def _group_law(label, rng_seed, nu_override):
+    """exp(sG) exp(tG) = exp((s+t)G), and exp(sG) exp(-sG) = I per unit of sqrt(dim)."""
+    d = _dilation(label)
+    eye = np.eye(d.dim)
+    worst = 0.0
+    for s, t in np.random.default_rng(rng_seed).uniform(-3.0, 3.0, (250, 2)):
+        rhs = dilate(d, s + t)
+        inverse = dilate(d, s) @ dilate(d, -s)
+        worst = max(worst, np.linalg.norm(dilate(d, s) @ dilate(d, t) - rhs) / np.linalg.norm(rhs),
+                    np.linalg.norm(inverse - eye) / math.sqrt(d.dim))
+    return worst
+
+
+def _generator_commutes(label, rng_seed, nu_override):
+    d = _dilation(label)
+    g = d.generator
+    ds = [dilate(d, s) for s in np.random.default_rng(rng_seed).uniform(-3.0, 3.0, 20)]
+    return max(np.max(np.abs(g @ m - m @ g)) for m in ds)
+
+
+def _gain_sandwich(label, rng_seed, nu_override):
+    d = _dilation(label)
     rng = np.random.default_rng(rng_seed)
-
-    def radial_sector():
-        p = _quant_params(2, nu_override)
-        z = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 10_000))
-        worst = -math.inf
-        for zi in z:
-            v, _ = quantizer.log_quantize(p, float(zi))
-            worst = max(worst, abs(v - zi) - p.delta * zi)
-        return worst
-
-    _collect(out, "quantizer.radial_sector", 0.0, radial_sector)
-
-    for dim in (2, 3, 4):
-        def spherical_error(dim=dim):
-            d = make_dilation(np.eye(dim))
-            p = _quant_params(dim, nu_override)
-            bound = quantizer.beta(p)
-            u = checks.sample_directions(d, np.random.default_rng(rng_seed + dim), 10_000)
-            worst = -math.inf
-            for ui in u:
-                err = d.weighted_norm(quantizer.spherical_quantize(d, p, ui) - ui)
-                worst = max(worst, err - bound)
-            return worst
-
-        _collect(out, f"quantizer.spherical_error.n{dim}", 1e-10, spherical_error)
-
-    for label, gen in (("identity2", np.eye(2)), ("diag321", np.diag([3.0, 2.0, 1.0]))):
-        def discrete_homogeneity(gen=gen):
-            d = make_dilation(gen)
-            p = _quant_params(d.dim, nu_override)
-            spec = checks.SampleSpec(count=1000, seed=rng_seed)
-            return checks.check_quantizer_discrete_homogeneity(d, p, spec)
-
-        _collect(out, f"quantizer.discrete_homogeneity.{label}", 1e-7, discrete_homogeneity)
-
-    def idempotence():
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        p = _quant_params(3, nu_override)
-        spec = checks.SampleSpec(count=500, seed=rng_seed)
-        xs = checks._sample_off_boundary(d, p, spec, np.random.default_rng(rng_seed))
-        worst = 0.0
-        for x in xs:
-            qx = quantizer.hom_quantize(d, p, x)
-            qqx = quantizer.hom_quantize(d, p, qx)
-            worst = max(worst, d.weighted_norm(qqx - qx) / max(d.weighted_norm(qx), 1e-12))
-        return worst
-
-    _collect(out, "quantizer.idempotence.diag321", 1e-12, idempotence)
-
-    def norm_grid():
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        p = _quant_params(3, nu_override)
-        spec = checks.SampleSpec(count=1000, seed=rng_seed)
-        xs = checks.sample_states(d, spec)
-        worst = 0.0
-        for x in xs:
-            rq = geometry.hom_norm(d, quantizer.hom_quantize(d, p, x))
-            t = (math.log(rq) - math.log(p.xi0)) / math.log(p.nu)
-            worst = max(worst, abs(t - round(t)) * abs(math.log(p.nu)))
-        return worst
-
-    _collect(out, "quantizer.output_norm_grid.diag321", 1e-9, norm_grid)
-    return out
+    worst = 0.0
+    for _ in range(1000):
+        s = rng.uniform(-3.0, 3.0)
+        x = rng.standard_normal(d.dim)
+        lo, hi = dilation_norm_bounds(d, s)
+        nx = d.weighted_norm(x)
+        nd = d.weighted_norm(d.apply(s, x))
+        worst = max(worst, (lo * nx - nd) / nd, (nd - hi * nx) / nd)
+    return worst
 
 
-def _suite_sector(rng_seed, nu_override):
+def _defining_equation(label, rng_seed, nu_override):
+    d, xs = _samples(label, rng_seed)
+    units = d.apply_each(-np.log(geometry.hom_norm_many(d, xs)), xs.T)
+    return float(np.max(np.abs(d.weighted_norms(units) - 1.0)))
+
+
+def _norm_homogeneity(label, rng_seed, nu_override):
+    d, xs = _samples(label, rng_seed)
+    r = geometry.hom_norm_many(d, xs)
+    s = np.random.default_rng(rng_seed + 1).uniform(-3.0, 3.0, len(xs))
+    shifted = geometry.hom_norm_many(d, d.apply_each(s, xs.T).T)
+    return float(np.max(np.abs(shifted - np.exp(s) * r) / (np.exp(s) * r)))
+
+
+def _euclidean_sandwich(label, rng_seed, nu_override):
+    d, xs = _samples(label, rng_seed)
+    r = geometry.hom_norm_many(d, xs)
+    nx = d.weighted_norms(xs.T)
+    lo = np.where(nx >= 1.0, r ** d.eta_min, r ** d.eta_max)
+    hi = np.where(nx >= 1.0, r ** d.eta_max, r ** d.eta_min)
+    return float(np.max(np.maximum(lo - nx, nx - hi) / nx))
+
+
+def _straighten_roundtrip(label, rng_seed, nu_override):
+    d, xs = _samples(label, rng_seed)
+    back = np.array([geometry.phi_inv(d, z) for z in geometry.phi_many(d, xs)])
+    return float(np.max(np.linalg.norm(back - xs, axis=1) / np.linalg.norm(xs, axis=1)))
+
+
+def _analytic_value(rng_seed, nu_override):
+    return abs(geometry.hom_norm(_dilation("diag321"), np.array([8.0, 0.0, 0.0])) - 2.0)
+
+
+def _radial_sector(rng_seed, nu_override):
+    p = _quant_params(2, nu_override)
+    z = np.exp(np.random.default_rng(rng_seed).uniform(math.log(1e-3), math.log(1e3), 10_000))
+    return max(abs(quantizer.log_quantize(p, float(zi))[0] - zi) - p.delta * zi for zi in z)
+
+
+def _spherical_error(dim, rng_seed, nu_override):
+    d = make_dilation(np.eye(dim))
+    p = _quant_params(dim, nu_override)
+    bound = quantizer.beta(p)
+    u = checks.sample_directions(d, np.random.default_rng(rng_seed + dim), 10_000)
+    return max(d.weighted_norm(quantizer.spherical_quantize(d, p, ui) - ui) - bound for ui in u)
+
+
+def _discrete_homogeneity(label, rng_seed, nu_override):
+    d = _dilation(label)
+    spec = checks.SampleSpec(count=1000, seed=rng_seed)
+    return checks.check_quantizer_discrete_homogeneity(d, _quant_params(d.dim, nu_override), spec)
+
+
+def _off_boundary(rng_seed, nu_override, count):
+    d, p = _dilation("diag321"), _quant_params(3, nu_override)
+    spec = checks.SampleSpec(count=count, seed=rng_seed)
+    return d, p, checks._sample_off_boundary(d, p, spec, np.random.default_rng(rng_seed))
+
+
+def _idempotence(rng_seed, nu_override):
+    d, p, xs = _off_boundary(rng_seed, nu_override, 500)
+    qs = [quantizer.hom_quantize(d, p, x) for x in xs]
+    return max(d.weighted_norm(quantizer.hom_quantize(d, p, q) - q)
+               / max(d.weighted_norm(q), 1e-12) for q in qs)
+
+
+def _output_norm_grid(rng_seed, nu_override):
+    d, xs = _samples("diag321", rng_seed)
+    p = _quant_params(3, nu_override)
+    return max(_grid_offset(p, geometry.hom_norm(d, quantizer.hom_quantize(d, p, x))) for x in xs)
+
+
+def _identity_sector(rng_seed, nu_override):
+    sector = checks.SectorSpec(k1=0.5 * np.eye(3), k2=1.5 * np.eye(3))
+    spec = checks.SampleSpec(count=2000, seed=rng_seed)
+    return checks.check_hom_sector(lambda x: x, _dilation("diag321"), sector, spec)[1]
+
+
+def _quantizer_sector(rng_seed, nu_override):
+    d = _dilation("diag321")
+    p = _quant_params(3, nu_override)
+    eps = quantizer.epsilon_tilde(p)
+    sector = checks.SectorSpec(k1=(1.0 - eps) * np.eye(3), k2=(1.0 + eps) * np.eye(3))
+    spec = checks.SampleSpec(count=10_000, seed=rng_seed)
+    return checks.check_hom_sector(lambda x: quantizer.hom_quantize(d, p, x), d, sector, spec)[1]
+
+
+def _empirical_margin(rng_seed, nu_override):
+    """Worst straightened relative error over the proven sector radius, minus one."""
+    d, xs = _samples("diag321", rng_seed, 10_000)
+    p = _quant_params(3, nu_override)
+    px = geometry.phi_many(d, xs)
+    pq = geometry.phi_many(d, np.array([quantizer.hom_quantize(d, p, x) for x in xs]))
+    ratios = d.weighted_norms((pq - px).T) / d.weighted_norms(px.T)
+    return float(np.max(ratios)) / quantizer.epsilon_tilde(p) - 1.0
+
+
+def _fundamental_domain_locality(rng_seed, nu_override):
+    """Folding every sample into the fundamental annulus must preserve the
+    straightened relative error of the quantizer."""
+    d, p, xs = _off_boundary(rng_seed, nu_override, 2000)
+    fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
+
+    def ratio(x):
+        px = geometry.phi(d, x)
+        pq = geometry.phi(d, quantizer.hom_quantize(d, p, x))
+        return d.weighted_norm(pq - px) / d.weighted_norm(px)
+
+    global_max = max(ratio(x) for x in xs)
+    folded_max = max(ratio(d.apply(-geometry.projection_index(fd, x) * fd.step, x)) for x in xs)
+    return abs(global_max - folded_max)
+
+
+def _simulate(quant, x0, h, t_end):
+    return simulation.simulate(_plant(), _BENCH_FEEDBACK, quant, x0, h, t_end)
+
+
+def _equilibrium_fixed(rng_seed, nu_override):
+    return float(np.max(np.abs(_simulate(None, np.zeros(3), 1e-2, 0.5).states)))
+
+
+def _step_halving(rng_seed, nu_override):
+    a = _simulate(None, _BENCH_X0, 1e-3, 2.0).states[-1]
+    b = _simulate(None, _BENCH_X0, 5e-4, 2.0).states[-1]
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _scaling_symmetry(rng_seed, nu_override):
+    d, s, x0 = _plant().dilation, math.log(2.0), np.array(_BENCH_X0)
+    base = _simulate(None, x0, 1e-3, 1.0)
+    scaled = _simulate(None, d.apply(s, x0), 1e-3 * math.exp(-s), math.exp(-s) * 1.0)
+    mapped = (d.matrix(s) @ base.states.T).T
+    denom = np.maximum(np.linalg.norm(mapped, axis=1), 1e-12)
+    return float(np.max(np.linalg.norm(scaled.states - mapped, axis=1) / denom))
+
+
+def _quantized_norm_grid(rng_seed, nu_override):
+    p = _quant_params(3, nu_override)
+    traj = _simulate(p, _BENCH_X0, 1e-3, 2.0)
+    rqs = [geometry.hom_norm(_plant().dilation, row)
+           for row in traj.quantized_states[:: max(1, len(traj) // 200)]]
+    return max((_grid_offset(p, rq) for rq in rqs if rq != 0.0), default=0.0)
+
+
+def _family(name, bound, fn, labels=tuple(_GENERATORS)):
+    return tuple(Property(f"{name}.{label}", bound, partial(fn, label)) for label in labels)
+
+
+PROPERTIES: tuple[Property, ...] = (
+    *_family("dilation.group_law", 1e-9, _group_law),
+    *_family("dilation.generator_commutes", 1e-10, _generator_commutes),
+    *_family("dilation.gain_sandwich", 1e-9, _gain_sandwich),
+    *_family("norm.defining_equation", 1e-12, _defining_equation),
+    *_family("norm.homogeneity", 1e-7, _norm_homogeneity),
+    *_family("norm.euclidean_sandwich", 1e-8, _euclidean_sandwich),
+    *_family("norm.straighten_roundtrip", 1e-8, _straighten_roundtrip),
+    Property("norm.analytic_value.diag321", 1e-12, _analytic_value),
+    Property("quantizer.radial_sector", 0.0, _radial_sector),
+    *(Property(f"quantizer.spherical_error.n{dim}", 1e-10, partial(_spherical_error, dim))
+      for dim in (2, 3, 4)),
+    *_family("quantizer.discrete_homogeneity", 1e-7, _discrete_homogeneity,
+             ("identity2", "diag321")),
+    Property("quantizer.idempotence.diag321", 1e-12, _idempotence),
+    Property("quantizer.output_norm_grid.diag321", 1e-9, _output_norm_grid),
+    Property("sector.identity_map.diag321", 1e-10, _identity_sector),
+    Property("sector.quantizer_bound.diag321", 1e-10, _quantizer_sector),
+    Property("sector.empirical_margin.diag321", 1e-8, _empirical_margin),
+    Property("sector.fundamental_domain_locality.diag321", 1e-7, _fundamental_domain_locality),
+    Property("sim.equilibrium_fixed", 0.0, _equilibrium_fixed),
+    Property("sim.step_halving", 1e-6, _step_halving),
+    Property("sim.scaling_symmetry", 1e-4, _scaling_symmetry),
+    Property("sim.quantized_norm_grid", 1e-9, _quantized_norm_grid),
+)
+SUITE_NAMES = tuple(dict.fromkeys(p.suite for p in PROPERTIES))
+
+
+def run_suite(name: str, rng_seed: int = 42,
+              nu_override: float | None = None) -> list[PropertyResult]:
+    """Evaluate every property of the named suite, in registry order."""
+    if name not in SUITE_NAMES:
+        raise UnknownSuiteError(f"unknown suite {name!r}; expected one of "
+                                f"{', '.join(SUITE_NAMES)}")
     out = []
-
-    def identity_sector():
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        sector = checks.SectorSpec(k1=0.5 * np.eye(3), k2=1.5 * np.eye(3))
-        spec = checks.SampleSpec(count=2000, seed=rng_seed)
-        ok, worst = checks.check_hom_sector(lambda x: x, d, sector, spec)
-        return worst
-
-    _collect(out, "sector.identity_map.diag321", 1e-10, identity_sector)
-
-    def quantizer_sector():
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        p = _quant_params(3, nu_override)
-        eps = quantizer.epsilon_tilde(p)
-        sector = checks.SectorSpec(k1=(1.0 - eps) * np.eye(3), k2=(1.0 + eps) * np.eye(3))
-        spec = checks.SampleSpec(count=10_000, seed=rng_seed)
-        ok, worst = checks.check_hom_sector(
-            lambda x: quantizer.hom_quantize(d, p, x), d, sector, spec)
-        return worst
-
-    _collect(out, "sector.quantizer_bound.diag321", 1e-10, quantizer_sector)
-
-    def sector_margin():
-        # Worst straightened relative error vs the proven sector radius.
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        p = _quant_params(3, nu_override)
-        spec = checks.SampleSpec(count=10_000, seed=rng_seed)
-        xs = checks.sample_states(d, spec)
-        qs = np.array([quantizer.hom_quantize(d, p, x) for x in xs])
-        px = geometry.phi_many(d, xs)
-        pq = geometry.phi_many(d, qs)
-        ratios = d.weighted_norms((pq - px).T) / d.weighted_norms(px.T)
-        return float(np.max(ratios)) - quantizer.epsilon_tilde(p)
-
-    _collect(out, "sector.empirical_margin.diag321", 1e-8, sector_margin)
-
-    def locality():
-        # Folding every sample into the fundamental annulus must preserve the
-        # straightened relative error of the quantizer.
-        d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-        p = _quant_params(3, nu_override)
-        spec = checks.SampleSpec(count=2000, seed=rng_seed)
-        rng = np.random.default_rng(rng_seed)
-        xs = checks._sample_off_boundary(d, p, spec, rng)
-        fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
-
-        def ratio(x):
-            q = quantizer.hom_quantize(d, p, x)
-            px = geometry.phi(d, x)
-            pq = geometry.phi(d, q)
-            return d.weighted_norm(pq - px) / d.weighted_norm(px)
-
-        global_max = 0.0
-        folded_max = 0.0
-        for x in xs:
-            global_max = max(global_max, ratio(x))
-            k = geometry.projection_index(fd, x)
-            folded_max = max(folded_max, ratio(d.apply(-k * fd.step, x)))
-        return abs(global_max - folded_max)
-
-    _collect(out, "sector.fundamental_domain_locality.diag321", 1e-7, locality)
+    for prop in (p for p in PROPERTIES if p.suite == name):
+        try:
+            residual = float(prop.fn(rng_seed, nu_override))
+        except (HomquantError, ValueError, ArithmeticError):
+            residual = math.inf
+        out.append(PropertyResult(prop.name, residual, prop.bound, residual <= prop.bound))
     return out
-
-
-def _suite_sim(rng_seed, nu_override):
-    out = []
-    plant = simulation.example_plant()
-    fb = simulation.HomFeedback(gain=[[-5.5055, -15.8387, -16.3807]], norm_power=4.0)
-    x0 = np.array([1.0, 1.0, 1.0])
-
-    def equilibrium():
-        traj = simulation.simulate(plant, fb, None, np.zeros(3), 1e-2, 0.5)
-        return float(np.max(np.abs(traj.states)))
-
-    _collect(out, "sim.equilibrium_fixed", 0.0, equilibrium)
-
-    def step_halving():
-        a = simulation.simulate(plant, fb, None, x0, 1e-3, 2.0)
-        b = simulation.simulate(plant, fb, None, x0, 5e-4, 2.0)
-        return float(np.linalg.norm(a.states[-1] - b.states[-1]) / np.linalg.norm(b.states[-1]))
-
-    _collect(out, "sim.step_halving", 1e-6, step_halving)
-
-    def scaling_symmetry():
-        s = math.log(2.0)
-        base = simulation.simulate(plant, fb, None, x0, 1e-3, 1.0)
-        scaled_x0 = plant.dilation.apply(s, x0)
-        scaled = simulation.simulate(plant, fb, None, scaled_x0,
-                                     1e-3 * math.exp(-s), math.exp(-s) * 1.0)
-        mapped = (plant.dilation.matrix(s) @ base.states.T).T
-        denom = np.maximum(np.linalg.norm(mapped, axis=1), 1e-12)
-        return float(np.max(np.linalg.norm(scaled.states - mapped, axis=1) / denom))
-
-    _collect(out, "sim.scaling_symmetry", 1e-4, scaling_symmetry)
-
-    def quantized_norm_grid():
-        p = _quant_params(3, nu_override)
-        traj = simulation.simulate(plant, fb, p, x0, 1e-3, 2.0)
-        worst = 0.0
-        for row in traj.quantized_states[:: max(1, len(traj) // 200)]:
-            rq = geometry.hom_norm(plant.dilation, row)
-            if rq == 0.0:
-                continue
-            t = (math.log(rq) - math.log(p.xi0)) / math.log(p.nu)
-            worst = max(worst, abs(t - round(t)) * abs(math.log(p.nu)))
-        return worst
-
-    _collect(out, "sim.quantized_norm_grid", 1e-9, quantized_norm_grid)
-    return out
-
-
-_SUITE_FNS = {
-    "dilation": _suite_dilation,
-    "norm": _suite_norm,
-    "quantizer": _suite_quantizer,
-    "sector": _suite_sector,
-    "sim": _suite_sim,
-}
-
-
-def run_suite(name: str, rng_seed: int = 42, nu_override: float | None = None) -> list[PropertyResult]:
-    """Run one named suite and return its property records."""
-    return _SUITE_FNS[name](rng_seed, nu_override)

@@ -1,6 +1,11 @@
-"""End-to-end verification of the library's numerical guarantees.
+"""End-to-end verification of the guarantees that no registry property covers.
 
-Each test exercises one guarantee at full sample size, prints a single
+The group law, the quantizer's radial and spherical cell bounds and its
+sector radius are checked by the property registry (``test_properties.py``).
+Each test here exercises one further guarantee at full sample size: the
+canonical norm on the scalar solve path, discrete-scale commutation with a
+mismatched-step negative control, scale invariance near cell boundaries, the
+benchmark loop, trajectory symmetry and seed export.  It prints a single
 PASS/FAIL line with the measured residual and the required bound, and asserts
 both the bound and a wall-clock budget.  Run with ``pytest -v`` (add ``-s`` to
 see the lines for passing tests too).
@@ -26,17 +31,9 @@ from homquant.geometry import (
     hom_norm_many,
     hom_project,
     phi,
-    phi_many,
     projection_index,
 )
-from homquant.quantizer import (
-    QuantizerParams,
-    angular_error_bound,
-    epsilon_tilde,
-    hom_quantize,
-    log_quantize,
-    spherical_quantize,
-)
+from homquant.quantizer import QuantizerParams, hom_quantize
 from homquant.simulation import HomFeedback, example_plant, settling_metrics, simulate
 
 GENERATORS = {
@@ -52,30 +49,6 @@ BENCH_GAIN = np.array([[-5.5055, -15.8387, -16.3807]])
 
 def _report(ok: bool, label: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
-
-
-# --------------------------------------------------------------- group algebra
-
-def test_dilation_group_algebra():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for g in GENERATORS.values():
-        d = make_dilation(g)
-        eye = np.eye(d.dim)
-        for _ in range(250):
-            s, t = rng.uniform(-3.0, 3.0, 2)
-            prod = d.matrix(s) @ d.matrix(t)
-            ref = d.matrix(s + t)
-            worst = max(worst, np.linalg.norm(prod - ref) / np.linalg.norm(ref))
-            inv = d.matrix(s) @ d.matrix(-s)
-            worst = max(worst, np.linalg.norm(inv - eye) / math.sqrt(d.dim))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9
-    _report(ok, "dilation-group-algebra",
-            f"worst_rel={worst:.3e} bound=1e-09 [{elapsed:.2f}s]")
-    assert worst <= 1e-9
-    assert elapsed < 5.0
 
 
 # ----------------------------------------------------------- canonical norm
@@ -106,52 +79,6 @@ def test_canonical_norm_defining_equation():
     assert worst_hom <= 1e-7
     assert analytic <= 1e-12
     assert elapsed < 5.0
-
-
-# ------------------------------------------------------- quantizer cell bounds
-
-def test_quantizer_error_bounds():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(303)
-    p3 = QuantizerParams(nu=0.7, delta_angle=DELTA, dim=3)
-
-    # Radial cells: the relative error never exceeds the cell half-width.
-    zs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 10_000))
-    worst_rad = -math.inf
-    for z in zs:
-        value, _ = log_quantize(p3, float(z))
-        worst_rad = max(worst_rad, abs(value - z) - p3.delta * z)
-
-    # Spherical cells: error within the closed-form chordal bound.
-    worst_sph = -math.inf
-    for n in (2, 3, 4):
-        d = make_dilation(np.eye(n))
-        pn = QuantizerParams(nu=0.7, delta_angle=DELTA, dim=n)
-        bound = angular_error_bound(DELTA, n)
-        ys = rng.standard_normal((10_000, n))
-        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        for y in ys:
-            q = spherical_quantize(d, pn, y)
-            worst_sph = max(worst_sph, float(np.linalg.norm(q - y)) - bound)
-
-    # Combined bound in straightened coordinates.
-    eps = epsilon_tilde(p3)
-    assert abs(eps - 0.43714594390758676) <= 1e-12
-    d321 = make_dilation(GENERATORS["diag321"])
-    xs = sample_states(d321, SampleSpec(count=10_000, seed=7))
-    qs = np.array([hom_quantize(d321, p3, x) for x in xs])
-    errs = np.linalg.norm(phi_many(d321, qs) - phi_many(d321, xs), axis=1)
-    worst_sector = float(np.max(errs / hom_norm_many(d321, xs)))
-
-    elapsed = time.perf_counter() - t0
-    ok = worst_rad <= 0.0 and worst_sph <= 1e-10 and worst_sector <= eps * (1.0 + 1e-8)
-    _report(ok, "quantizer-error-bounds",
-            f"radial_slack={worst_rad:.3e} (0) spherical_slack={worst_sph:.3e} (1e-10) "
-            f"sector={worst_sector:.9f} (eps={eps:.9f}) [{elapsed:.2f}s]")
-    assert worst_rad <= 0.0
-    assert worst_sph <= 1e-10
-    assert worst_sector <= eps * (1.0 + 1e-8)
-    assert elapsed < 30.0
 
 
 # --------------------------------------------------- discrete scale commutation

@@ -13,7 +13,7 @@ import pytest
 import homquant
 from homquant import ConfigParseError, ConfigValidationError, UnknownSuiteError
 from homquant.cli import cmd_check, main, parse_config, serialize_config
-from homquant.suites import SUITE_NAMES
+from homquant.suites import PROPERTIES
 
 MINIMAL = """
 # benchmark loop
@@ -43,7 +43,6 @@ def test_parse_minimal_defaults():
     assert cfg.step == 1e-4
     assert cfg.t_end == 20.0
     assert cfg.quantized is True
-    assert cfg.rng_seed == 42
 
 
 def test_parse_full_document():
@@ -53,11 +52,10 @@ def test_parse_full_document():
         "step = 0.001",
         "t_end = 2.5",
         "quantized = false",
-        "rng_seed = 7",
     ])
     cfg = parse_config(text)
     assert cfg.step == 0.001 and cfg.t_end == 2.5
-    assert cfg.quantized is False and cfg.rng_seed == 7
+    assert cfg.quantized is False
 
 
 def test_serialize_roundtrip():
@@ -69,7 +67,7 @@ def test_serialize_roundtrip():
     assert np.array_equal(cfg.x0, cfg2.x0)
     assert cfg.nu == cfg2.nu and cfg.delta_angle == cfg2.delta_angle
     assert cfg.step == cfg2.step and cfg.t_end == cfg2.t_end
-    assert cfg.quantized == cfg2.quantized and cfg.rng_seed == cfg2.rng_seed
+    assert cfg.quantized == cfg2.quantized
 
 
 def test_serialize_preserves_awkward_floats():
@@ -80,6 +78,7 @@ def test_serialize_preserves_awkward_floats():
 @pytest.mark.parametrize("old,line,fragment", [
     ("nu = 0.7", "generator 3 0 0", "expected 'key = value'"),
     ("nu = 0.7", "mystery = 4", "unknown key"),
+    ("nu = 0.7", "rng_seed = 42", "unknown key"),
     ("nu = 0.7", "nu = ", "missing value"),
     ("nu = 0.7", "nu = abc", "bad number"),
     ("x0 = 1 1 1", "x0 = 1 2; 3 4", "single row"),
@@ -254,13 +253,18 @@ def test_seeds_rejects_bad_level_syntax(tmp_path):
 
 # ------------------------------------------------------------------ check cmd
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_check_subcommand_passes(suite):
+def test_check_subcommand_passes():
+    """One line per property of the suite, ``PASS name residual bound``, sorted
+    by name; ``tests/test_properties.py`` checks each property's bound."""
     stream = io.StringIO()
-    assert cmd_check(suite, stream=stream) == 0
+    assert cmd_check("dilation", stream=stream) == 0
     lines = stream.getvalue().splitlines()
-    assert lines and all(line.startswith("PASS ") for line in lines)
-    assert lines == sorted(lines)
+    names = sorted(p.name for p in PROPERTIES if p.suite == "dilation")
+    assert [line.split()[1] for line in lines] == names
+    for line in lines:
+        status, _, residual, bound = line.split()
+        assert status == "PASS"
+        assert f"{float(residual):.6e}" == residual and f"{float(bound):.6e}" == bound
 
 
 def test_check_unknown_suite():

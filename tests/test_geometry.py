@@ -1,6 +1,7 @@
 """Canonical homogeneous norm, straightening map, and pulled-back algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,11 +260,16 @@ def test_norm_of_state_whose_weighted_norm_overflows(label):
     z = phi(d, x)
     assert np.allclose(phi_many(d, x[None, :])[0], z, rtol=1e-12, atol=0.0)
     assert np.allclose(hom_project(d, x), z / r, rtol=1e-12, atol=1e-300)
+    # For diag321-1e300, z = (1e100, 0, 0) and exp(ln|z|_P G) z overflows
+    # before the division by |z|_P; phi_inv still recovers x.
+    assert np.allclose(phi_inv(d, z), x, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_norm_past_the_largest_float_raises():
-    """The homogeneous norm of (1.5e308, 1.5e308) is 2.1e308 for G = I."""
+    """The homogeneous norm of (1.5e308, 1.5e308) is 2.1e308 for G = I.  Under
+    diag(3, 2, 1), exp(ln(1e150) G) overflows on the unit vectors that
+    phi_inv and hom_quantize exponentiate at (0, 0, 1e150)."""
     d = make_dilation(np.eye(2))
     x = [1.5e308, 1.5e308]
     for call in (hom_norm, phi, hom_project):
@@ -272,6 +278,14 @@ def test_norm_past_the_largest_float_raises():
     for call in (hom_norm_many, phi_many):
         with pytest.raises(NormOverflowError):
             call(d, np.array([x, [1.0, 1.0]]))
+    d321 = make_dilation(GENERATORS["diag321"])
+    p = QuantizerParams(nu=0.7, delta_angle=0.157, dim=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormOverflowError):
+            phi_inv(d321, [0.0, 0.0, 1e150])
+        with pytest.raises(NormOverflowError):
+            hom_quantize(d321, p, [0.0, 0.0, 1e150])
 
 
 # ----------------------------------------------------------------- projection
