@@ -61,14 +61,14 @@ from .geometry import (
 )
 from .quantizer import (
     QuantizerParams,
-    SphericalCoords,
     angular_error_bound,
     beta,
     epsilon_tilde,
-    from_spherical,
     hom_quantize,
+    hom_quantize_many,
     log_quantize,
     spherical_quantize,
+    spherical_quantize_many,
     to_spherical,
     unit_from_angles,
 )
@@ -83,69 +83,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "ConfigParseError",
-    "ConfigValidationError",
-    "Dilation",
-    "DimensionTooSmallError",
-    "EmptyTrajectoryError",
-    "FundamentalDomain",
-    "HomFeedback",
-    "HomNormConfig",
-    "HomPlant",
-    "HomquantError",
-    "NegativeInputError",
-    "NoConvergenceError",
-    "NonFiniteInputError",
-    "NonFiniteStateError",
-    "NonPositiveFunctionError",
-    "NormOverflowError",
-    "NotMonotoneError",
-    "NotOnSphereError",
-    "NotPositiveDefiniteError",
-    "NotSymmetricError",
-    "QuantizerParams",
-    "SampleSpec",
-    "SectorSpec",
-    "SphericalCoords",
-    "Trajectory",
-    "UnknownSuiteError",
-    "UnsupportedDimensionError",
-    "ZeroVectorError",
-    "angular_error_bound",
-    "beta",
-    "check_field_homogeneity",
-    "check_hom_sector",
-    "check_quantizer_discrete_homogeneity",
-    "dilate",
-    "dilation_norm_bounds",
-    "distance_bound_alpha1",
-    "epsilon_tilde",
-    "example_plant",
-    "from_spherical",
-    "hom_feedback_eval",
-    "hom_inner",
-    "hom_norm",
-    "hom_norm_many",
-    "hom_project",
-    "hom_quantize",
-    "log_quantize",
-    "make_dilation",
-    "matrix_tilde_apply",
-    "phi",
-    "phi_inv",
-    "phi_many",
-    "projection_index",
-    "ratio_bounds_on_domain",
-    "sample_directions",
-    "sample_states",
-    "settling_metrics",
-    "simulate",
-    "spherical_quantize",
-    "tilde_add",
-    "tilde_scale",
-    "to_spherical",
-    "unit_from_angles",
-]

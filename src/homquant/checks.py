@@ -17,7 +17,7 @@ import numpy as np
 from .dilation import Dilation, EIG_TOL
 from .errors import NonPositiveFunctionError, NotPositiveDefiniteError, NotSymmetricError
 from .geometry import DEFAULT_CONFIG, FundamentalDomain, HomNormConfig, phi_many
-from .quantizer import QuantizerParams, hom_quantize, to_spherical
+from .quantizer import QuantizerParams, hom_quantize_many, to_spherical
 
 _RESIDUAL_FLOOR = 1e-12
 
@@ -123,11 +123,11 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
         for j in range(batch):
             if not keep[j]:
                 continue
-            c = to_spherical(w[j])
+            _, angles = to_spherical(w[j])
             tails = np.sqrt(np.cumsum((w[j] ** 2)[::-1])[::-1])
             if np.any(tails[1:] < pole_floor):
                 continue
-            af = (np.asarray(c.angles) / p.delta_angle + 0.5) % 1.0
+            af = (angles / p.delta_angle + 0.5) % 1.0
             if np.min(np.minimum(af, 1.0 - af)) * p.delta_angle < margin:
                 continue
             out.append(d.apply(math.log(r[j]), u[j]))
@@ -147,17 +147,16 @@ def check_quantizer_discrete_homogeneity(d: Dilation, p: QuantizerParams, spec: 
         step = p.radial_step
     rng = np.random.default_rng(spec.seed)
     xs = _sample_off_boundary(d, p, spec, rng)
+    qx = hom_quantize_many(d, p, xs, cfg).T
     worst = 0.0
-    for x in xs:
-        qx = hom_quantize(d, p, x, cfg)
-        for k in shifts:
-            if k == 0:
-                continue
-            s = k * step
-            lhs = hom_quantize(d, p, d.apply(s, x), cfg)
-            rhs = d.apply(s, qx)
-            res = d.weighted_norm(lhs - rhs)
-            worst = max(worst, res / max(d.weighted_norm(rhs), _RESIDUAL_FLOOR))
+    for k in shifts:
+        if k == 0:
+            continue
+        s = np.full(len(xs), k * step)
+        lhs = hom_quantize_many(d, p, d.apply_each(s, xs.T).T, cfg).T
+        rhs = d.apply_each(s, qx)
+        res = d.weighted_norms(lhs - rhs) / np.maximum(d.weighted_norms(rhs), _RESIDUAL_FLOOR)
+        worst = max(worst, float(np.max(res)))
     return worst
 
 
@@ -166,10 +165,12 @@ def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec, spec: SampleSpec,
     """Sector condition in straightened coordinates.
 
     Evaluates ``<phi(f(x)) - K1 phi(x), phi(f(x)) - K2 phi(x)>_P`` at every
-    sample and reports ``(all <= 1e-10, worst value)``.
+    sample and reports ``(all <= 1e-10, worst value)``.  ``phi_map`` maps the
+    sample matrix (one state per row) to the matrix of their images, row by
+    row.
     """
     xs = sample_states(d, spec)
-    imgs = np.array([np.asarray(phi_map(x), dtype=float) for x in xs])
+    imgs = np.asarray(phi_map(xs), dtype=float)
     px = phi_many(d, xs, cfg)
     pf = phi_many(d, imgs, cfg)
     a = pf - px @ sector.k1.T

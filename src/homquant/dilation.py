@@ -84,7 +84,11 @@ class Dilation:
         return self._expm(s)
 
     def apply(self, s: float, x: np.ndarray) -> np.ndarray:
-        """``exp(s*G) @ x`` without forming the matrix when a fast backend exists."""
+        """``exp(s*G) @ x`` without forming the matrix when a fast backend exists.
+
+        A raw kernel, as is :meth:`apply_each`: an overflow gives inf or NaN
+        entries and numpy's warning.  ``phi_inv``, ``hom_quantize`` and
+        ``hom_quantize_many`` raise ``NormOverflowError`` instead."""
         if self._mode == "diag":
             return np.exp(s * self._diag) * x
         if self._mode == "eig":

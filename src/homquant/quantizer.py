@@ -21,8 +21,9 @@ import numpy as np
 
 from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
-                     NotOnSphereError)
-from .geometry import DEFAULT_CONFIG, HomNormConfig, _apply_unit, _solve_nonzero
+                     NormOverflowError, NotOnSphereError)
+from .geometry import (_LOG_SAFE, DEFAULT_CONFIG, HomNormConfig, _apply_unit, _solve_many_nonzero,
+                       _solve_nonzero)
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
@@ -66,26 +67,6 @@ class QuantizerParams:
         return -math.log(self.nu)
 
 
-@dataclass(frozen=True)
-class SphericalCoords:
-    """Radius plus ``n-1`` angles; the first ``n-2`` lie in ``[0, pi]``,
-    the last in ``[0, 2*pi)``."""
-
-    radius: float
-    angles: np.ndarray
-
-    def __post_init__(self):
-        if not (self.radius >= 0):
-            raise ValueError("radius must be nonnegative")
-        a = np.array(self.angles, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "angles", a)
-
-    @property
-    def dim(self) -> int:
-        return len(self.angles) + 1
-
-
 def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
     """Radial grid value and level index for ``z >= 0``; zero maps to ``(0.0, 0)``."""
     z = float(z)
@@ -116,6 +97,29 @@ def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
     raise NegativeInputError(f"no radial cell contains z={z!r}")
 
 
+def _by_value(fn, a: np.ndarray) -> np.ndarray:
+    """The Python float function ``fn`` at every entry of ``a``, evaluated once
+    per distinct value, so that each entry has the bits of the scalar call."""
+    vals, inv = np.unique(a, return_inverse=True)
+    return np.array([fn(v) for v in vals.tolist()])[inv].reshape(a.shape)
+
+
+def _log_quantize_many(p: QuantizerParams, z: np.ndarray) -> np.ndarray:
+    """:func:`log_quantize` values of the positive finite entries of ``z``, with
+    its closed form, candidate order and corner resolution."""
+    delta = p.delta
+    i = np.floor(np.log((1.0 - delta) * z / p.xi0) / math.log(p.nu))
+    # np.power can differ from Python's float power by an ulp.
+    values = _by_value(lambda k: p.nu ** int(k) * p.xi0, i[:, None] + np.array([0.0, 1.0, -1.0]))
+    lo, hi, zc = values / (1.0 + delta), values / (1.0 - delta), z[:, None]
+    # The first candidate whose cell holds z, else the smallest violation.
+    err = np.where((lo <= zc) & (zc < hi), -math.inf, np.maximum((lo - zc) / lo, (zc - hi) / hi))
+    pick = err.argmin(axis=1)[:, None]
+    if np.any(np.take_along_axis(err, pick, axis=1) > 32.0 * np.finfo(float).eps):
+        raise NegativeInputError("no radial cell contains a sample's homogeneous norm")
+    return np.take_along_axis(values, pick, axis=1)[:, 0]
+
+
 def _polar(w: list[float]) -> tuple[float, list[float]]:
     """Radius and angles of the coordinate list ``w`` as :func:`to_spherical`
     defines them; fewer than two coordinates give no angles."""
@@ -135,12 +139,13 @@ def _polar(w: list[float]) -> tuple[float, list[float]]:
     return tails[0], angles
 
 
-def to_spherical(y) -> SphericalCoords:
-    """Angle coordinates of ``y`` in plain Euclidean terms.
+def to_spherical(y) -> tuple[float, np.ndarray]:
+    """Radius and angle coordinates of ``y`` in plain Euclidean terms.
 
     Angle ``i`` (zero-based, ``i <= n-3``) is ``atan2`` of the trailing tail
     magnitude against coordinate ``i``; the final angle is the signed planar
-    angle of the last two coordinates mapped into ``[0, 2*pi)``.  Fully
+    angle of the last two coordinates mapped into ``[0, 2*pi)``, so the
+    first ``n-2`` angles lie in ``[0, pi]``.  Fully
     degenerate tails give zero angles.  NaN or infinite coordinates raise
     :class:`NonFiniteInputError`.
     """
@@ -150,7 +155,7 @@ def to_spherical(y) -> SphericalCoords:
     radius, angles = _polar(y.tolist())
     if not math.isfinite(radius) and not np.all(np.isfinite(y)):
         raise NonFiniteInputError("spherical coordinates of a NaN or infinite vector")
-    return SphericalCoords(radius=radius, angles=np.array(angles))
+    return radius, np.array(angles)
 
 
 def _reconstruct(radius: float, angles) -> np.ndarray:
@@ -161,13 +166,6 @@ def _reconstruct(radius: float, angles) -> np.ndarray:
         running *= math.sin(a)
     y.append(running)
     return np.array(y)
-
-
-def from_spherical(c: SphericalCoords) -> np.ndarray:
-    """Inverse of :func:`to_spherical`."""
-    if c.dim < 2:
-        raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
-    return _reconstruct(c.radius, np.asarray(c.angles, dtype=float))
 
 
 def unit_from_angles(d: Dilation, angles) -> np.ndarray:
@@ -198,6 +196,28 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     return unit_from_angles(d, q)
 
 
+def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
+    """Row-batch twin of :func:`spherical_quantize`: row ``j`` of the result is
+    ``spherical_quantize(d, p, us[j])``; one row off the sphere raises
+    :class:`NotOnSphereError`."""
+    w = d.to_euclidean(np.asarray(us, dtype=float).T)
+    n = w.shape[0]
+    if n < 2:
+        raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
+    # _polar's tails (sequential sums from the last coordinate) and angles.
+    tails = np.sqrt(np.cumsum((w * w)[::-1], axis=0))[::-1]
+    if not np.all(np.abs(tails[0] - 1.0) <= _SPHERE_TOL):
+        raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
+    a = np.arctan2(np.vstack([tails[1:n - 1], w[n - 1:]]), w[:n - 1])
+    a[-1] = np.where(a[-1] < 0, a[-1] + 2.0 * math.pi, a[-1])
+    q = np.floor(a / p.delta_angle + 0.5) * p.delta_angle
+    q[-1] %= 2.0 * math.pi
+    # _reconstruct's products in its order, from math.cos and math.sin.
+    ones = np.ones((1, w.shape[1]))
+    running = np.cumprod(np.vstack([ones, _by_value(math.sin, q)]), axis=0)
+    return d.from_euclidean(running * np.vstack([_by_value(math.cos, q), ones])).T
+
+
 def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Composed state quantizer: radial rounding of the homogeneous norm and
     angular rounding of the unit projection; the origin is a fixed point.
@@ -209,6 +229,25 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAUL
     value, _ = log_quantize(p, math.exp(s))
     seed = spherical_quantize(d, p, y)
     return _apply_unit(d, math.log(value), seed)
+
+
+def hom_quantize_many(d: Dilation, p: QuantizerParams, xs,
+                      cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Row-batch twin of :func:`hom_quantize`: row ``j`` of the result is
+    ``hom_quantize(d, p, xs[j], cfg)``, with its errors.  Away from cell edges
+    a row depends on its sample only through its cells, so it has the scalar
+    call's bits wherever the rebuild does (diag and expm backends, identity weight)."""
+    cols, mask, s, y = _solve_many_nonzero(d, xs, cfg)
+    logs = _by_value(math.log, _log_quantize_many(p, np.exp(s)))
+    seeds = spherical_quantize_many(d, p, y.T).T
+    # As in _apply_unit, only a column with s*eta_max past _LOG_SAFE can overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = d.apply_each(logs, seeds)
+    if not np.all(np.isfinite(q[:, logs * d.eta_max > _LOG_SAFE])):
+        raise NormOverflowError("exp(s*G) overflows at a sample row")
+    out = np.zeros_like(cols)
+    out[:, mask] = q
+    return out.T
 
 
 def angular_error_bound(delta_angle: float, dim: int) -> float:

@@ -201,14 +201,17 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     s1_last = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            bad = not _all_finite(x)
-            if not bad:
-                k1, x_hat, u, s1 = stage(x, guess, True)
-                r = math.exp(s1)
-                # A finite state can still overflow a derived quantity (the
-                # weighted norm, or the norm raised to the feedback power);
-                # never record a partially poisoned row.
-                bad = not (math.isfinite(r) and _all_finite(x_hat) and _all_finite(u))
+            # A finite state can still overflow a derived quantity (the weighted
+            # norm, or a Python float power, which raises); never record a
+            # partially poisoned row.
+            try:
+                bad = not _all_finite(x)
+                if not bad:
+                    k1, x_hat, u, s1 = stage(x, guess, True)
+                    r = math.exp(s1)
+                    bad = not (math.isfinite(r) and _all_finite(x_hat) and _all_finite(u))
+            except OverflowError:
+                bad = True
             if bad:
                 partial = Trajectory(times[:k].copy(), states[:k].copy(), qstates[:k].copy(),
                                      controls[:k].copy(), norms[:k].copy())
@@ -226,10 +229,13 @@ def simulate(plant: HomPlant, fb: HomFeedback,
                 break
             ds = 0.0 if s1_last is None else 0.5 * (s1 - s1_last)
             s1_last = s1
-            k2, _, _, s2 = stage(x + half * k1, s1 + ds)
-            k3, _, _, s3 = stage(x + half * k2, s2)
-            k4, _, _, guess = stage(x + h * k3, s3 + ds)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            try:
+                k2, _, _, s2 = stage(x + half * k1, s1 + ds)
+                k3, _, _, s3 = stage(x + half * k2, s2)
+                k4, _, _, guess = stage(x + h * k3, s3 + ds)
+                x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except OverflowError:
+                x = np.full(n, math.nan)  # the next row's check raises
 
     return Trajectory(times, states, qstates, controls, norms)
 

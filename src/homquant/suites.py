@@ -157,7 +157,8 @@ def _spherical_error(dim, rng_seed, nu_override):
     p = _quant_params(dim, nu_override)
     bound = quantizer.beta(p)
     u = checks.sample_directions(d, np.random.default_rng(rng_seed + dim), 10_000)
-    return max(d.weighted_norm(quantizer.spherical_quantize(d, p, ui) - ui) - bound for ui in u)
+    err = d.weighted_norms((quantizer.spherical_quantize_many(d, p, u) - u).T)
+    return float(np.max(err)) - bound
 
 
 def _discrete_homogeneity(label, rng_seed, nu_override):
@@ -174,15 +175,16 @@ def _off_boundary(rng_seed, nu_override, count):
 
 def _idempotence(rng_seed, nu_override):
     d, p, xs = _off_boundary(rng_seed, nu_override, 500)
-    qs = [quantizer.hom_quantize(d, p, x) for x in xs]
-    return max(d.weighted_norm(quantizer.hom_quantize(d, p, q) - q)
-               / max(d.weighted_norm(q), 1e-12) for q in qs)
+    qs = quantizer.hom_quantize_many(d, p, xs).T
+    again = quantizer.hom_quantize_many(d, p, qs.T).T
+    return float(np.max(d.weighted_norms(again - qs) / np.maximum(d.weighted_norms(qs), 1e-12)))
 
 
 def _output_norm_grid(rng_seed, nu_override):
     d, xs = _samples("diag321", rng_seed)
     p = _quant_params(3, nu_override)
-    return max(_grid_offset(p, geometry.hom_norm(d, quantizer.hom_quantize(d, p, x))) for x in xs)
+    rqs = geometry.hom_norm_many(d, quantizer.hom_quantize_many(d, p, xs))
+    return max(_grid_offset(p, rq) for rq in rqs)
 
 
 def _identity_sector(rng_seed, nu_override):
@@ -197,7 +199,7 @@ def _quantizer_sector(rng_seed, nu_override):
     eps = quantizer.epsilon_tilde(p)
     sector = checks.SectorSpec(k1=(1.0 - eps) * np.eye(3), k2=(1.0 + eps) * np.eye(3))
     spec = checks.SampleSpec(count=10_000, seed=rng_seed)
-    return checks.check_hom_sector(lambda x: quantizer.hom_quantize(d, p, x), d, sector, spec)[1]
+    return checks.check_hom_sector(partial(quantizer.hom_quantize_many, d, p), d, sector, spec)[1]
 
 
 def _empirical_margin(rng_seed, nu_override):
@@ -205,7 +207,7 @@ def _empirical_margin(rng_seed, nu_override):
     d, xs = _samples("diag321", rng_seed, 10_000)
     p = _quant_params(3, nu_override)
     px = geometry.phi_many(d, xs)
-    pq = geometry.phi_many(d, np.array([quantizer.hom_quantize(d, p, x) for x in xs]))
+    pq = geometry.phi_many(d, quantizer.hom_quantize_many(d, p, xs))
     ratios = d.weighted_norms((pq - px).T) / d.weighted_norms(px.T)
     return float(np.max(ratios)) / quantizer.epsilon_tilde(p) - 1.0
 
@@ -216,14 +218,13 @@ def _fundamental_domain_locality(rng_seed, nu_override):
     d, p, xs = _off_boundary(rng_seed, nu_override, 2000)
     fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
 
-    def ratio(x):
+    def ratio(x, q):
         px = geometry.phi(d, x)
-        pq = geometry.phi(d, quantizer.hom_quantize(d, p, x))
-        return d.weighted_norm(pq - px) / d.weighted_norm(px)
+        return d.weighted_norm(geometry.phi(d, q) - px) / d.weighted_norm(px)
 
-    global_max = max(ratio(x) for x in xs)
-    folded_max = max(ratio(d.apply(-geometry.projection_index(fd, x) * fd.step, x)) for x in xs)
-    return abs(global_max - folded_max)
+    folded = np.array([d.apply(-geometry.projection_index(fd, x) * fd.step, x) for x in xs])
+    return abs(max(map(ratio, xs, quantizer.hom_quantize_many(d, p, xs)))
+               - max(map(ratio, folded, quantizer.hom_quantize_many(d, p, folded))))
 
 
 def _simulate(quant, x0, h, t_end):

@@ -137,7 +137,8 @@ def test_hom_sector_scaled_map(diag321):
         return phi_inv(diag321, 2.0 * phi(diag321, x))
 
     inside = SectorSpec(k1=1.5 * np.eye(3), k2=2.5 * np.eye(3))
-    ok, _ = check_hom_sector(double, diag321, inside, SampleSpec(count=200, seed=8))
+    ok, _ = check_hom_sector(lambda xs: np.array([double(x) for x in xs]), diag321, inside,
+                             SampleSpec(count=200, seed=8))
     assert ok
 
 

@@ -1,6 +1,7 @@
 """Radial log-quantizer, spherical coordinates, and the composed state quantizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,23 +10,37 @@ from hypothesis import strategies as st
 
 from homquant import (
     DimensionTooSmallError,
+    FundamentalDomain,
     NegativeInputError,
+    NonFiniteInputError,
+    NormOverflowError,
     NotOnSphereError,
     QuantizerParams,
-    SphericalCoords,
+    SampleSpec,
     angular_error_bound,
     beta,
     epsilon_tilde,
-    from_spherical,
     hom_norm,
+    hom_project,
     hom_quantize,
+    hom_quantize_many,
     log_quantize,
     make_dilation,
     phi,
+    projection_index,
+    sample_states,
     spherical_quantize,
+    spherical_quantize_many,
     to_spherical,
+    unit_from_angles,
 )
-from homquant.checks import sample_directions
+from homquant import suites
+from homquant.checks import _sample_off_boundary, sample_directions
+
+
+def from_spherical(radius, angles):
+    """Inverse of :func:`to_spherical`."""
+    return radius * unit_from_angles(make_dilation(np.eye(len(angles) + 1)), angles)
 
 
 # ------------------------------------------------------------------ parameters
@@ -117,44 +132,37 @@ def test_log_quantize_monotone(rng):
 def test_spherical_planar_examples():
     for y, angle in [((1.0, 0.0), 0.0), ((0.0, 1.0), math.pi / 2),
                      ((-1.0, 0.0), math.pi), ((0.0, -1.0), 1.5 * math.pi)]:
-        c = to_spherical(np.array(y))
-        assert c.radius == pytest.approx(1.0)
-        assert c.angles[0] == pytest.approx(angle)
+        radius, angles = to_spherical(np.array(y))
+        assert radius == pytest.approx(1.0)
+        assert angles[0] == pytest.approx(angle)
 
 
 def test_spherical_3d_example():
-    c = to_spherical(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(c.angles, [math.pi / 2, math.pi / 2])
-    assert np.allclose(from_spherical(c), [0.0, 0.0, 1.0], atol=1e-15)
+    radius, angles = to_spherical(np.array([0.0, 0.0, 1.0]))
+    assert np.allclose(angles, [math.pi / 2, math.pi / 2])
+    assert np.allclose(from_spherical(radius, angles), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_spherical_roundtrip(rng):
     for n in (2, 3, 4, 5, 7):
         for _ in range(40):
             y = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-            c = to_spherical(y)
-            assert c.radius == pytest.approx(np.linalg.norm(y), rel=1e-13)
-            assert np.all(c.angles[:-1] >= 0.0) and np.all(c.angles[:-1] <= math.pi)
-            assert 0.0 <= c.angles[-1] < 2.0 * math.pi
-            assert np.allclose(from_spherical(c), y, rtol=1e-12, atol=1e-13)
+            radius, angles = to_spherical(y)
+            assert radius == pytest.approx(np.linalg.norm(y), rel=1e-13)
+            assert np.all(angles[:-1] >= 0.0) and np.all(angles[:-1] <= math.pi)
+            assert 0.0 <= angles[-1] < 2.0 * math.pi
+            assert np.allclose(from_spherical(radius, angles), y, rtol=1e-12, atol=1e-13)
 
 
 def test_spherical_degenerate_tail():
-    c = to_spherical(np.array([2.0, 0.0, 0.0]))
-    assert c.angles[0] == 0.0 and c.angles[1] == 0.0
-    assert np.allclose(from_spherical(c), [2.0, 0.0, 0.0])
+    radius, angles = to_spherical(np.array([2.0, 0.0, 0.0]))
+    assert angles[0] == 0.0 and angles[1] == 0.0
+    assert np.allclose(from_spherical(radius, angles), [2.0, 0.0, 0.0])
 
 
 def test_spherical_rejects_scalars():
     with pytest.raises(DimensionTooSmallError):
         to_spherical(np.array([1.0]))
-    with pytest.raises(DimensionTooSmallError):
-        from_spherical(SphericalCoords(radius=1.0, angles=np.array([])))
-
-
-def test_spherical_coords_validation():
-    with pytest.raises(ValueError):
-        SphericalCoords(radius=-1.0, angles=np.array([0.0]))
 
 
 # ----------------------------------------------------------- sphere quantizer
@@ -290,3 +298,101 @@ def test_hom_quantize_does_not_commute_with_mismatched_step(diag321):
     spec = SampleSpec(count=150, seed=9)
     bad = check_quantizer_discrete_homogeneity(diag321, p, spec, step=0.9 * p.radial_step)
     assert bad > 1e-3
+
+
+# -------------------------------------------------------------- batch engine
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _registry_sample_sets(seed):
+    """``(name, dilation, params, rows)`` for every state sample that the
+    quantizer.* and sector.* registry properties quantize at ``seed``."""
+    sets = []
+    for label in ("identity2", "diag321"):
+        d = suites._dilation(label)
+        p = suites._quant_params(d.dim, None)
+        xs = _sample_off_boundary(d, p, SampleSpec(count=1000, seed=seed),
+                                  np.random.default_rng(seed))
+        for k in range(-3, 4):
+            shifted = d.apply_each(np.full(len(xs), k * p.radial_step), xs.T).T
+            sets.append((f"discrete_homogeneity.{label}.shift{k}", d, p, shifted))
+    d, p, xs = suites._off_boundary(seed, None, 500)
+    sets += [("idempotence", d, p, xs),
+             ("idempotence.outputs", d, p, hom_quantize_many(d, p, xs))]
+    d, p, xs = suites._off_boundary(seed, None, 2000)
+    fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
+    folded = np.array([d.apply(-projection_index(fd, x) * fd.step, x) for x in xs])
+    sets += [("locality", d, p, xs), ("locality.folded", d, p, folded)]
+    for count in (1000, 10_000):
+        d, xs = suites._samples("diag321", seed, count)
+        sets.append((f"sample_states.{count}", d, p, xs))
+    return sets
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_hom_quantize_many_rows_are_bitwise_hom_quantize(seed):
+    """Every row equals the scalar quantizer bit for bit on the registry's samples."""
+    bad = [name for name, d, p, xs in _registry_sample_sets(seed)
+           if not _bits_equal(hom_quantize_many(d, p, xs),
+                              np.array([hom_quantize(d, p, x) for x in xs]))]
+    assert not bad
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_spherical_quantize_many_rows_are_bitwise_spherical_quantize(seed, dim):
+    """The directions of the quantizer.spherical_error.n<dim> property."""
+    d = make_dilation(np.eye(dim))
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=dim)
+    u = sample_directions(d, np.random.default_rng(seed + dim), 10_000)
+    assert _bits_equal(spherical_quantize_many(d, p, u),
+                       np.array([spherical_quantize(d, p, ui) for ui in u]))
+
+
+_OTHER_ROUTES = {
+    "rotate2-eig": (np.array([[2.0, -1.5], [1.0, 1.0]]), None),
+    "diag321-weighted": (np.diag([3.0, 2.0, 1.0]),
+                         [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]),
+    "jordan2-expm": (np.array([[1.0, 1.0], [0.0, 1.0]]), None),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("label", sorted(_OTHER_ROUTES))
+def test_batch_quantizers_on_other_routes(label, seed):
+    """The eig backend and a non-identity weight take other product orders
+    than the scalar calls, so rows agree to 1e-14 relative; a different cell
+    would move a row by at least a grid step.  The expm backend is bitwise."""
+    d = make_dilation(*_OTHER_ROUTES[label])
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=d.dim)
+    xs = sample_states(d, SampleSpec(count=2000, seed=seed))
+    us = np.array([hom_project(d, x) for x in xs])
+    for many, one in ((hom_quantize_many(d, p, xs), [hom_quantize(d, p, x) for x in xs]),
+                      (spherical_quantize_many(d, p, us),
+                       [spherical_quantize(d, p, u) for u in us])):
+        one = np.array(one)
+        if label.endswith("expm"):
+            assert _bits_equal(many, one)
+        scale = np.max(np.abs(one), axis=1)
+        assert np.max(np.max(np.abs(many - one), axis=1) / scale) <= 1e-14
+
+
+def test_batch_quantizers_edge_rows(diag321):
+    """Origin rows, empty batches and each error path, with no numpy warning."""
+    p = QuantizerParams(nu=0.7, delta_angle=0.157, dim=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        q = hom_quantize_many(diag321, p, xs)
+        assert np.array_equal(q[[0, 2]], np.zeros((2, 3)))
+        assert _bits_equal(q[1], hom_quantize(diag321, p, xs[1]))
+        assert hom_quantize_many(diag321, p, np.empty((0, 3))).shape == (0, 3)
+        assert spherical_quantize_many(diag321, p, np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(NonFiniteInputError):
+            hom_quantize_many(diag321, p, np.array([[1.0, 1.0, 1.0], [math.nan, 0.0, 0.0]]))
+        with pytest.raises(NormOverflowError):
+            hom_quantize_many(diag321, p, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1e150]]))
+        with pytest.raises(NotOnSphereError):
+            spherical_quantize_many(diag321, p, np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))

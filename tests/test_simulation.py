@@ -16,6 +16,7 @@ from homquant import (
     hom_feedback_eval,
     hom_norm,
     hom_quantize,
+    make_dilation,
     settling_metrics,
     simulate,
 )
@@ -177,6 +178,25 @@ def test_blowup_raises_and_carries_partial_rows(plant):
     partial = info.value.trajectory
     assert partial is not None and 0 < len(partial) < 501
     assert np.all(np.isfinite(partial.states))
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
+def test_huge_state_raises_non_finite_state_error(plant, feedback, quantized):
+    """|x|_d ** norm_power past the largest float overflows a Python float in
+    the feedback: at the first row on the benchmark loop, and in the second
+    RK4 stage, at 2 x0, for the drift x with h = 2 (|x0|_d**3 is 6.4e307)."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3) if quantized else None
+    with pytest.raises(NonFiniteStateError) as info:
+        simulate(plant, feedback, p, np.array([0.0, 0.0, 1e150]), 1e-3, 2e-3)
+    assert len(info.value.trajectory) == 0
+    d = make_dilation(np.eye(2))
+    linear = HomPlant(drift=lambda x: x, input_matrix=[[1.0], [0.0]], degree=0.0, dilation=d)
+    cubic = HomFeedback(gain=[[0.0, 0.0]], norm_power=3.0)
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2) if quantized else None
+    with pytest.raises(NonFiniteStateError) as info:
+        simulate(linear, cubic, p, np.array([4e102, 0.0]), 2.0, 4.0)
+    partial = info.value.trajectory
+    assert len(partial) == 1 and partial.states[0, 0] == 4e102
 
 
 def test_row_guard_checks_entries_not_their_sum():
