@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Print a sha256 of each reference output of the ``homquant`` CLI.
+
+The outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+2, 3, 42, 7919 and 12345, the ``homquant seeds --levels=-2..2`` CSV of
+``configs/example3d.cfg``, and the ``homquant simulate`` CSVs of that config
+at ``t_end = 0.5``, quantized and nominal.  A change meant to keep every
+result shows the same hashes as the commit before it:
+
+    python3 scripts/fingerprint.py                    # the src/ next to this script
+    python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
+
+Each source tree runs in its own interpreter with it first on ``sys.path``.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "example3d.cfg"
+CHECK_SEEDS = (0, 1, 2, 3, 42, 7919, 12345)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _config(text: str, quantized: bool) -> str:
+    text = re.sub(r"(?m)^t_end\s*=.*$", "t_end = 0.5", text)
+    return re.sub(r"(?m)^quantized\s*=.*$", f"quantized = {str(quantized).lower()}", text)
+
+
+def fingerprints() -> dict[str, str]:
+    """Hashes of every reference output of the ``homquant`` found on ``sys.path``."""
+    from homquant.cli import main
+
+    out = {}
+    for seed in CHECK_SEEDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["check", "--suite", "all", "--seed", str(seed)])
+        out[f"check --suite all --seed {seed}"] = _sha(buf.getvalue().encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "out.csv")
+        main(["seeds", "--config", str(CONFIG), "--levels=-2..2", "--out", csv])
+        out["seeds --levels=-2..2"] = _sha(Path(csv).read_bytes())
+        text = CONFIG.read_text(encoding="utf-8")
+        for quantized in (True, False):
+            cfg = os.path.join(tmp, "run.cfg")
+            Path(cfg).write_text(_config(text, quantized), encoding="utf-8")
+            main(["simulate", "--config", cfg, "--out", csv])
+            out[f"simulate t_end=0.5 quantized={str(quantized).lower()}"] = _sha(Path(csv).read_bytes())
+    return out
+
+
+def _run(src: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, __file__, "--emit"], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src", nargs="*", type=Path, default=[ROOT / "src"],
+                    help="source trees holding the homquant package (default: ./src)")
+    ap.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.emit:
+        print(json.dumps(fingerprints()))
+        return 0
+    runs = [_run(src.resolve()) for src in args.src]
+    same = True
+    for name in runs[0]:
+        hashes = [run.get(name, "-") for run in runs]
+        same &= len(set(hashes)) == 1
+        print("  ".join(hashes), name)
+    if len(runs) > 1:
+        print("identical" if same else "DIFFERENT")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

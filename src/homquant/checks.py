@@ -10,7 +10,7 @@ residuals bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
     pole_floor = math.sqrt(margin) if margin > 0 else 0.0
     a = p.radial_step
     lo, hi = spec.radius_range
-    cell_anchor = math.log(p.xi0 / (1.0 + p.delta))
+    cell_anchor = math.log(p.rho)
     out = []
     needed = spec.count
     while needed > 0:
@@ -189,12 +189,7 @@ def ratio_bounds_on_domain(f1, nu1: float, f2, nu2: float, fd: FundamentalDomain
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValueError("homogeneity degrees must be positive")
-    d = fd.dilation
-    a = fd.step
-    rng = np.random.default_rng(spec.seed)
-    u = sample_directions(d, rng, spec.count)
-    r = np.exp(rng.uniform(math.log(fd.rho), math.log(fd.rho) + a, spec.count))
-    zs = d.apply_each(np.log(r), u.T).T
+    zs = sample_states(fd.dilation, replace(spec, radius_range=(fd.rho, fd.rho * math.exp(fd.step))))
     v1 = np.array([float(f1(z)) for z in zs])
     if np.any(v1 <= 0):
         bad = zs[int(np.argmax(v1 <= 0))]

@@ -67,7 +67,7 @@ class EmptyTrajectoryError(HomquantError, ValueError):
 
 
 class UnsupportedDimensionError(HomquantError, ValueError):
-    """The requested operation is only available for a restricted set of state dimensions."""
+    """The operation, or its quantizer parameters, do not support this state dimension."""
 
 
 class ConfigParseError(HomquantError, ValueError):

@@ -314,35 +314,59 @@ def phi_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray
     return out.T
 
 
-def projection_index(fd: FundamentalDomain, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> int:
-    """Unique integer ``k`` with ``rho <= exp(-k*step) |x|_d < rho*exp(step)``.
+def _by_value(fn, a: np.ndarray, *args) -> np.ndarray:
+    """The Python function ``fn(*args, v)`` at every entry ``v`` of ``a``, evaluated
+    once per distinct value, so that each entry has the bits of the scalar call."""
+    vals, inv = np.unique(a, return_inverse=True)
+    return np.array([fn(*args, v) for v in vals.tolist()])[inv].reshape(a.shape)
 
-    The closed form ``floor(log(|x|_d / rho) / step)`` is verified against the
-    membership inequality and nudged by one when floating-point roundoff at a
-    cell boundary put it in the wrong cell.  A point sitting exactly on a cell
-    edge can fold onto the boundary float itself, where the half-open bracket
-    is unsatisfiable; such corner cases resolve to the nearest cell instead of
-    failing.
-    """
-    a = fd.step
+
+def _edge(nu: float, rho: float, i: int) -> float:
+    """Lower edge ``rho * nu**i`` of radial cell ``i``; ``inf`` past the largest float."""
+    try:
+        return rho * nu ** i
+    except OverflowError:
+        return math.inf
+
+
+def _radial_cell(nu: float, rho: float, r: float) -> int:
+    """Index ``i`` of the radial cell ``[rho*nu**i, rho*nu**(i-1))``, an annulus of the
+    group ``{nu**k}``, holding the finite ``r > 0``.  Neighbouring cells share one computed
+    edge, so they tile ``(0, inf)`` and ``i`` is the least index whose edge is at most ``r``.
+    The closed form misses it only at an edge or among subnormal edges: then bisect."""
+    i = 0
+    try:
+        i = math.ceil(math.log(r / rho) / math.log(nu))
+        if rho * nu ** i <= r < rho * nu ** (i - 1):
+            return i
+    except (ValueError, OverflowError):
+        pass  # r / rho or an edge is past the float range: search from i
+    w = 1  # the edges reach inf and 0, so the widening ends
+    while not _edge(nu, rho, i - w) > r >= _edge(nu, rho, i + w):
+        w *= 2
+    lo, hi = i - w, i + w
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _edge(nu, rho, mid) <= r else (mid, hi)
+    return hi
+
+
+def _radial_cells(nu: float, rho: float, r: np.ndarray) -> np.ndarray:
+    """:func:`_radial_cell` of every entry of ``r``, as integers."""
+    i = np.ceil((np.log(r) - math.log(rho)) / math.log(nu)).astype(np.int64)
+    miss = ~((_by_value(_edge, i, nu, rho) <= r) & (r < _by_value(_edge, i - 1, nu, rho)))
+    i[miss] = [_radial_cell(nu, rho, v) for v in r[miss].tolist()]
+    return i
+
+
+def projection_index(fd: FundamentalDomain, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> int:
+    """Integer ``k`` with ``rho*nu**-k <= |x|_d < rho*nu**-(k+1)``, ``nu = exp(-step)``,
+    so that ``exp(-k*step*G) x`` lies in the domain: minus the radial cell of
+    :func:`~homquant.quantizer.log_quantize` with this ``nu`` and ``rho``."""
     root = _solve_nonzero(fd.dilation, x, cfg)
     if root is None:
         raise ZeroVectorError("projection index is undefined at the origin")
-    r = math.exp(root[0])
-    lo = fd.rho
-    hi = fd.rho * math.exp(a)
-    k = math.floor(math.log(r / fd.rho) / a)
-    best, best_err = k, math.inf
-    for cand in (k, k + 1, k - 1):
-        folded = r * math.exp(-cand * a)
-        if lo <= folded < hi:
-            return cand
-        err = max((lo - folded) / lo, (folded - hi) / hi)
-        if err < best_err:
-            best, best_err = cand, err
-    if best_err <= 32.0 * np.finfo(float).eps:
-        return best
-    raise NoConvergenceError("no integer shift maps the point into the fundamental domain")
+    return -_radial_cell(math.exp(-fd.step), fd.rho, math.exp(root[0]))
 
 
 def tilde_add(d: Dilation, x, y, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:

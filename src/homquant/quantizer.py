@@ -1,29 +1,30 @@
 """Logarithmic radial quantization, n-sphere angle coordinates, and the
 dilation-aware state quantizer composed from them.
 
-The radial quantizer maps ``z > 0`` to the grid value ``nu^i * xi0`` whose
-half-open cell ``[nu^i*xi0/(1+delta), nu^i*xi0/(1-delta))`` contains ``z``,
-with ``delta = (1-nu)/(1+nu)``; the cells tile ``(0, inf)`` exactly and give
-the sector bound ``|q(z) - z| <= delta*z``.  The spherical quantizer rounds
-every angle coordinate of a weighted-unit vector to a uniform grid of pitch
-``delta_angle``.  The composed state quantizer rounds the homogeneous norm
-radially and the unit projection spherically, then rebuilds the state with
-the dilation, so it commutes with dilations whose parameter is an integer
-multiple of ``-ln(nu)``.
+The radial quantizer maps ``z > 0`` to the grid value ``nu^i * xi0`` of the
+cell ``[rho*nu^i, rho*nu^(i-1)) = [nu^i*xi0/(1+delta), nu^i*xi0/(1-delta))``
+holding ``z``, where ``rho = xi0/(1+delta)``, ``delta = (1-nu)/(1+nu)``; so
+``|q(z) - z| <= delta*z``, and the cells are the fundamental annuli of the
+dilation group of step ``-ln(nu)``.  The spherical quantizer rounds every
+angle coordinate of a weighted-unit vector to a grid of pitch ``delta_angle``.
+The composed state quantizer rounds the homogeneous norm radially and the
+unit projection spherically, then rebuilds the state with the dilation, so it
+commutes with dilations whose parameter is an integer multiple of ``-ln(nu)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
-                     NormOverflowError, NotOnSphereError)
-from .geometry import (_LOG_SAFE, DEFAULT_CONFIG, HomNormConfig, _apply_unit, _solve_many_nonzero,
-                       _solve_nonzero)
+                     NormOverflowError, NotOnSphereError, UnsupportedDimensionError)
+from .geometry import (_LOG_SAFE, DEFAULT_CONFIG, HomNormConfig, _apply_unit, _by_value,
+                       _radial_cell, _radial_cells, _solve_many_nonzero, _solve_nonzero)
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
@@ -66,6 +67,16 @@ class QuantizerParams:
         """Dilation parameter step ``-ln(nu)`` preserved by the quantizer."""
         return -math.log(self.nu)
 
+    @cached_property
+    def rho(self) -> float:
+        """Lower edge ``xi0/(1+delta)`` of radial cell 0; derived, cached on first use."""
+        return self.xi0 / (1.0 + self.delta)
+
+
+def _check_dim(d: Dilation, p: QuantizerParams) -> None:
+    if p.dim != d.dim:
+        raise UnsupportedDimensionError(f"quantizer for dim {p.dim} under a dim {d.dim} dilation")
+
 
 def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
     """Radial grid value and level index for ``z >= 0``; zero maps to ``(0.0, 0)``."""
@@ -76,48 +87,13 @@ def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
         raise NegativeInputError("radial quantizer input must be nonnegative")
     if z == 0.0:
         return 0.0, 0
-    delta = p.delta
-    # Closed-form level, then membership verification against the half-open
-    # cell to absorb boundary roundoff.  An input landing exactly on a cell
-    # edge can round outside both neighbouring cells at once; such corners
-    # resolve to the cell with the smallest (few-ulp) violation.
-    i = math.floor(math.log((1.0 - delta) * z / p.xi0) / math.log(p.nu))
-    best, best_err = None, math.inf
-    for cand in (i, i + 1, i - 1):
-        value = p.nu ** cand * p.xi0
-        lo = value / (1.0 + delta)
-        hi = value / (1.0 - delta)
-        if lo <= z < hi:
-            return value, cand
-        err = max((lo - z) / lo, (z - hi) / hi)
-        if err < best_err:
-            best, best_err = (value, cand), err
-    if best_err <= 32.0 * np.finfo(float).eps:
-        return best
-    raise NegativeInputError(f"no radial cell contains z={z!r}")
-
-
-def _by_value(fn, a: np.ndarray) -> np.ndarray:
-    """The Python float function ``fn`` at every entry of ``a``, evaluated once
-    per distinct value, so that each entry has the bits of the scalar call."""
-    vals, inv = np.unique(a, return_inverse=True)
-    return np.array([fn(v) for v in vals.tolist()])[inv].reshape(a.shape)
+    i = _radial_cell(p.nu, p.rho, z)
+    return p.nu ** i * p.xi0, i
 
 
 def _log_quantize_many(p: QuantizerParams, z: np.ndarray) -> np.ndarray:
-    """:func:`log_quantize` values of the positive finite entries of ``z``, with
-    its closed form, candidate order and corner resolution."""
-    delta = p.delta
-    i = np.floor(np.log((1.0 - delta) * z / p.xi0) / math.log(p.nu))
-    # np.power can differ from Python's float power by an ulp.
-    values = _by_value(lambda k: p.nu ** int(k) * p.xi0, i[:, None] + np.array([0.0, 1.0, -1.0]))
-    lo, hi, zc = values / (1.0 + delta), values / (1.0 - delta), z[:, None]
-    # The first candidate whose cell holds z, else the smallest violation.
-    err = np.where((lo <= zc) & (zc < hi), -math.inf, np.maximum((lo - zc) / lo, (zc - hi) / hi))
-    pick = err.argmin(axis=1)[:, None]
-    if np.any(np.take_along_axis(err, pick, axis=1) > 32.0 * np.finfo(float).eps):
-        raise NegativeInputError("no radial cell contains a sample's homogeneous norm")
-    return np.take_along_axis(values, pick, axis=1)[:, 0]
+    """:func:`log_quantize` values of the positive finite entries of ``z``, bit for bit."""
+    return _by_value(lambda i: p.nu ** i * p.xi0, _radial_cells(p.nu, p.rho, z))
 
 
 def _polar(w: list[float]) -> tuple[float, list[float]]:
@@ -183,6 +159,7 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     the weighted unit sphere.  Seeds reproduce themselves whenever
     ``delta_angle`` divides ``pi``.
     """
+    _check_dim(d, p)
     w = d.to_euclidean(np.asarray(u, dtype=float))
     # |w| is |u|_P; a NaN radius fails the check too.
     radius, angles = _polar(w.tolist())
@@ -200,6 +177,7 @@ def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
     """Row-batch twin of :func:`spherical_quantize`: row ``j`` of the result is
     ``spherical_quantize(d, p, us[j])``; one row off the sphere raises
     :class:`NotOnSphereError`."""
+    _check_dim(d, p)
     w = d.to_euclidean(np.asarray(us, dtype=float).T)
     n = w.shape[0]
     if n < 2:
@@ -222,6 +200,7 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAUL
     """Composed state quantizer: radial rounding of the homogeneous norm and
     angular rounding of the unit projection; the origin is a fixed point.
     Raises :class:`NormOverflowError` where the output is past the largest float."""
+    _check_dim(d, p)
     root = _solve_nonzero(d, x, cfg)
     if root is None:
         return np.zeros(d.dim)

@@ -18,7 +18,7 @@ from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import EmptyTrajectoryError, NonFiniteStateError
 from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve, _solve_nonzero
-from .quantizer import QuantizerParams, log_quantize, spherical_quantize
+from .quantizer import QuantizerParams, _check_dim, log_quantize, spherical_quantize
 
 # Sampling plan for the construction-time homogeneity audit of a plant drift.
 _DRIFT_AUDIT = SampleSpec(count=128, radius_range=(0.25, 4.0), seed=7)
@@ -140,8 +140,10 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     derived quantity aborts with :class:`NonFiniteStateError` carrying the
     (entirely finite) rows recorded so far.
     """
-    if quant is not None and not isinstance(quant, QuantizerParams):
-        raise TypeError(f"quant must be QuantizerParams or None, got {type(quant).__name__}")
+    if quant is not None:
+        if not isinstance(quant, QuantizerParams):
+            raise TypeError(f"quant must be QuantizerParams or None, got {type(quant).__name__}")
+        _check_dim(plant.dilation, quant)
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("step size must be positive and finite")
     if not (t_end >= h and math.isfinite(t_end)):

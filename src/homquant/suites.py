@@ -22,7 +22,6 @@ import numpy as np
 from . import checks, geometry, quantizer, simulation
 from .dilation import dilate, dilation_norm_bounds, make_dilation
 from .errors import HomquantError, UnknownSuiteError
-from .geometry import FundamentalDomain
 
 _GENERATORS = {
     "identity2": np.eye(2),
@@ -213,16 +212,16 @@ def _empirical_margin(rng_seed, nu_override):
 
 
 def _fundamental_domain_locality(rng_seed, nu_override):
-    """Folding every sample into the fundamental annulus must preserve the
-    straightened relative error of the quantizer."""
+    """Folding every sample into the fundamental annulus ``[rho, rho/nu)``, a shift
+    by its radial level, must preserve the straightened relative error of the quantizer."""
     d, p, xs = _off_boundary(rng_seed, nu_override, 2000)
-    fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
 
     def ratio(x, q):
         px = geometry.phi(d, x)
         return d.weighted_norm(geometry.phi(d, q) - px) / d.weighted_norm(px)
 
-    folded = np.array([d.apply(-geometry.projection_index(fd, x) * fd.step, x) for x in xs])
+    levels = geometry._radial_cells(p.nu, p.rho, geometry.hom_norm_many(d, xs))
+    folded = d.apply_each(levels * p.radial_step, xs.T).T
     return abs(max(map(ratio, xs, quantizer.hom_quantize_many(d, p, xs)))
                - max(map(ratio, folded, quantizer.hom_quantize_many(d, p, folded))))
 

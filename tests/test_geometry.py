@@ -16,6 +16,7 @@ from homquant import (
     NonFiniteInputError,
     NormOverflowError,
     QuantizerParams,
+    SampleSpec,
     ZeroVectorError,
     dilate,
     dilation_norm_bounds,
@@ -33,12 +34,13 @@ from homquant import (
     phi_inv,
     phi_many,
     projection_index,
+    sample_states,
     tilde_add,
     tilde_scale,
     to_spherical,
 )
 from homquant.errors import NoConvergenceError
-from homquant.geometry import _solve
+from homquant.geometry import _radial_cells, _solve
 
 from conftest import GENERATORS
 
@@ -437,6 +439,18 @@ def test_projection_index_rejects_origin(diag321):
     fd = FundamentalDomain(diag321, 1.0)
     with pytest.raises(ZeroVectorError):
         projection_index(fd, np.zeros(3))
+
+
+@pytest.mark.parametrize("label", sorted(GENERATORS))
+def test_projection_index_is_minus_the_radial_cell(label):
+    """The fold of the locality property: off the cell edges, the radial cells
+    of the batch norms are minus projection_index, row by row."""
+    d = make_dilation(GENERATORS[label])
+    p = QuantizerParams(nu=0.7, delta_angle=1.0, dim=d.dim)
+    fd = FundamentalDomain(d, p.radial_step, rho=p.rho)
+    xs = sample_states(d, SampleSpec(count=500, radius_range=(1e-3, 1e3), seed=3))
+    levels = _radial_cells(p.nu, p.rho, hom_norm_many(d, xs))
+    assert (-levels).tolist() == [projection_index(fd, x) for x in xs]
 
 
 def test_fundamental_domain_validation(diag321):

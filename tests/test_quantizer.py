@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 from homquant import (
     DimensionTooSmallError,
     FundamentalDomain,
+    HomNormConfig,
+    HomquantError,
     NegativeInputError,
     NonFiniteInputError,
     NormOverflowError,
     NotOnSphereError,
     QuantizerParams,
     SampleSpec,
+    UnsupportedDimensionError,
     angular_error_bound,
     beta,
     epsilon_tilde,
     hom_norm,
+    hom_norm_many,
     hom_project,
     hom_quantize,
     hom_quantize_many,
@@ -36,6 +40,7 @@ from homquant import (
 )
 from homquant import suites
 from homquant.checks import _sample_off_boundary, sample_directions
+from homquant.geometry import _edge, _radial_cell, _radial_cells
 
 
 def from_spherical(radius, angles):
@@ -50,6 +55,7 @@ def test_params_derived_quantities():
     assert p.delta == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert p.radial_step == pytest.approx(math.log(2.0), rel=1e-15)
     assert p.xi0 == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert p.rho == pytest.approx(1.0, rel=1e-15)
 
 
 def test_params_custom_anchor():
@@ -125,6 +131,57 @@ def test_log_quantize_monotone(rng):
     zs = np.sort(np.exp(rng.uniform(-4, 4, 400)))
     values = [log_quantize(p, float(z))[0] for z in zs]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def _cell_inputs(p):
+    """Every finite computed edge ``rho*nu**i`` with ``|i| <= 600`` and its two
+    neighbouring floats, and three extremes."""
+    zs = [1e-320, 5e-324, 1.7e308]
+    for i in range(-600, 601):
+        e = _edge(p.nu, p.rho, i)
+        zs += [math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)]
+    return [z for z in zs if 0.0 < z < math.inf]
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_radial_cells_are_the_fundamental_annuli(nu):
+    """The level of log_quantize is minus the projection_index of the same
+    norm on the identity dilation of the same group, and the scalar and vector
+    cell lookups agree row by row, at every edge and at the float extremes."""
+    p = QuantizerParams(nu=nu, delta_angle=1.0, dim=1)
+    zs = _cell_inputs(p)
+    levels = [log_quantize(p, z)[1] for z in zs]
+    assert _radial_cells(p.nu, p.rho, np.array(zs)).tolist() == levels
+    for z, i in zip(zs, levels):
+        assert _edge(p.nu, p.rho, i) <= z < _edge(p.nu, p.rho, i - 1)
+    # The group of step -ln(nu) has the ratio exp(ln(nu)), which is one ulp
+    # off nu = 0.05; its quantizer is the one whose cells are its annuli.
+    d, cfg = make_dilation(np.eye(1)), HomNormConfig(zero_threshold=0.0)
+    fd = FundamentalDomain(d, p.radial_step, rho=p.rho)
+    q = QuantizerParams(nu=math.exp(-fd.step), delta_angle=1.0, dim=1)
+    # The norm solve sees z only where z*z is a normal float.
+    xs = [np.array([z]) for z in _cell_inputs(q) if z >= 1e-150]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # |x|^2 overflows past 1e154
+        r = np.array([hom_norm(d, x, cfg) for x in xs])
+        ks = [projection_index(fd, x, cfg) for x in xs]
+    assert ks == [-log_quantize(q, v)[1] for v in r]
+    assert _radial_cells(q.nu, q.rho, r).tolist() == [_radial_cell(q.nu, q.rho, v) for v in r]
+
+
+def test_quantizer_rejects_params_of_another_dimension(diag321):
+    """Parameters for dim 2 under a 3-dim dilation would understate the
+    sector radius (epsilon_tilde 0.361 instead of 0.437)."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2)
+    x, u = np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    calls = [lambda: hom_quantize(diag321, p, x), lambda: hom_quantize(diag321, p, 0 * x),
+             lambda: hom_quantize_many(diag321, p, x[None]),
+             lambda: spherical_quantize(diag321, p, u),
+             lambda: spherical_quantize_many(diag321, p, u[None])]
+    for call in calls:
+        with pytest.raises(UnsupportedDimensionError) as info:
+            call()
+        assert isinstance(info.value, HomquantError) and isinstance(info.value, ValueError)
 
 
 # -------------------------------------------------------- spherical coordinates
@@ -322,8 +379,8 @@ def _registry_sample_sets(seed):
     sets += [("idempotence", d, p, xs),
              ("idempotence.outputs", d, p, hom_quantize_many(d, p, xs))]
     d, p, xs = suites._off_boundary(seed, None, 2000)
-    fd = FundamentalDomain(d, p.radial_step, rho=p.xi0 / (1.0 + p.delta))
-    folded = np.array([d.apply(-projection_index(fd, x) * fd.step, x) for x in xs])
+    levels = _radial_cells(p.nu, p.rho, hom_norm_many(d, xs))
+    folded = d.apply_each(levels * p.radial_step, xs.T).T
     sets += [("locality", d, p, xs), ("locality.folded", d, p, folded)]
     for count in (1000, 10_000):
         d, xs = suites._samples("diag321", seed, count)

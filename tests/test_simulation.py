@@ -12,6 +12,7 @@ from homquant import (
     NonFiniteStateError,
     QuantizerParams,
     Trajectory,
+    UnsupportedDimensionError,
     example_plant,
     hom_feedback_eval,
     hom_norm,
@@ -105,6 +106,13 @@ def test_simulate_quant_must_be_params_or_none(plant, feedback):
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
     with pytest.raises(TypeError):
         simulate(plant, feedback, (plant.dilation, p), np.ones(3), 1e-2, 0.1)
+
+
+def test_simulate_rejects_quantizer_of_another_dimension(plant, feedback):
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2)
+    for x0 in ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(UnsupportedDimensionError):
+            simulate(plant, feedback, p, x0, 1e-3, 1e-2)
 
 
 def test_origin_is_equilibrium(plant, feedback):
