@@ -39,6 +39,7 @@ _FLOAT_KEYS = ("norm_power", "nu", "delta_angle", "step", "t_end")
 _BOOL_KEYS = ("quantized",)
 _ALL_KEYS = _MATRIX_KEYS + _VECTOR_KEYS + _FLOAT_KEYS + _BOOL_KEYS
 _REQUIRED_KEYS = ("generator", "gain", "nu", "delta_angle", "x0")
+_CSV_BLOCK = 64  # trajectory rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -185,12 +186,16 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
     m = traj.controls.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
               + [f"u{i+1}" for i in range(m)] + ["hnorm"])
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    columns = (traj.times[:, None], traj.states, traj.quantized_states, traj.controls,
+               traj.hom_norms[:, None])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(traj)):
-            row = ([traj.times[k]] + list(traj.states[k]) + list(traj.quantized_states[k])
-                   + list(traj.controls[k]) + [traj.hom_norms[k]])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # Formatted from Python floats, a block of rows at a time, so that no
+        # copy of the whole table is held as Python objects.
+        for k in range(0, len(traj), _CSV_BLOCK):
+            block = np.hstack([c[k:k + _CSV_BLOCK] for c in columns]).tolist()
+            fh.write("".join(row.format(*r) for r in block))
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:

@@ -134,19 +134,28 @@ def to_spherical(y) -> tuple[float, np.ndarray]:
     return radius, np.array(angles)
 
 
-def _reconstruct(radius: float, angles) -> np.ndarray:
-    y = []
-    running = radius
+def unit_from_angles(d: Dilation, angles) -> np.ndarray:
+    """Weighted-unit vector whose angles, in :meth:`Dilation.to_euclidean` terms, are ``angles``."""
+    y, running = [], 1.0
     for a in angles:
         y.append(running * math.cos(a))
         running *= math.sin(a)
     y.append(running)
-    return np.array(y)
+    return d.from_euclidean(np.array(y))
 
 
-def unit_from_angles(d: Dilation, angles) -> np.ndarray:
-    """Weighted-unit vector whose angles, in :meth:`Dilation.to_euclidean` terms, are ``angles``."""
-    return d.from_euclidean(_reconstruct(1.0, angles))
+def _spherical_cell(d: Dilation, p: QuantizerParams, u) -> list[int]:
+    """Encoder of :func:`spherical_quantize`: the grid indices
+    ``floor(a/delta_angle + 1/2)`` of the angles ``a`` of ``P^{1/2} u``."""
+    w = d.to_euclidean(np.asarray(u, dtype=float))
+    # |w| is |u|_P; a NaN radius fails the check too.
+    radius, angles = _polar(w.tolist())
+    if not abs(radius - 1.0) <= _SPHERE_TOL:
+        raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
+    if not angles:
+        raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
+    step = p.delta_angle
+    return [math.floor(a / step + 0.5) for a in angles]
 
 
 def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
@@ -160,15 +169,7 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     ``delta_angle`` divides ``pi``.
     """
     _check_dim(d, p)
-    w = d.to_euclidean(np.asarray(u, dtype=float))
-    # |w| is |u|_P; a NaN radius fails the check too.
-    radius, angles = _polar(w.tolist())
-    if not abs(radius - 1.0) <= _SPHERE_TOL:
-        raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
-    if not angles:
-        raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
-    step = p.delta_angle
-    q = [math.floor(a / step + 0.5) * step for a in angles]
+    q = [k * p.delta_angle for k in _spherical_cell(d, p, u)]
     q[-1] = q[-1] % (2.0 * math.pi)
     return unit_from_angles(d, q)
 
@@ -190,7 +191,7 @@ def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
     a[-1] = np.where(a[-1] < 0, a[-1] + 2.0 * math.pi, a[-1])
     q = np.floor(a / p.delta_angle + 0.5) * p.delta_angle
     q[-1] %= 2.0 * math.pi
-    # _reconstruct's products in its order, from math.cos and math.sin.
+    # unit_from_angles's products in its order, from math.cos and math.sin.
     ones = np.ones((1, w.shape[1]))
     running = np.cumprod(np.vstack([ones, _by_value(math.sin, q)]), axis=0)
     return d.from_euclidean(running * np.vstack([_by_value(math.cos, q), ones])).T

@@ -18,11 +18,15 @@ from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import EmptyTrajectoryError, NonFiniteStateError
 from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve, _solve_nonzero
-from .quantizer import QuantizerParams, _check_dim, log_quantize, spherical_quantize
+from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
+                        spherical_quantize)
 
 # Sampling plan for the construction-time homogeneity audit of a plant drift.
 _DRIFT_AUDIT = SampleSpec(count=128, radius_range=(0.25, 4.0), seed=7)
 _DRIFT_AUDIT_TOL = 1e-6
+# Decoded quantizer symbols kept per simulate call; a fine angle grid can
+# give every stage a new symbol, and the table then starts over.
+_DECODED_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,10 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     drift = plant.drift
     kappa = fb.norm_power
     gain = fb.gain
+    # Quantized feedback, decoded once per symbol (radial value, angle cell)
+    # as [u, seed, x_hat], x_hat at the first record point that needs it.
+    # The value keys it, not the level: an underflowed norm is 0 at level 0.
+    decoded: dict[tuple, list] = {}
 
     def stage(x, s0, record=False):
         # (xdot, x_hat, u, s) at one RK stage, with hom_norm = exp(s) (s is
@@ -179,11 +187,19 @@ def simulate(plant: HomPlant, fb: HomFeedback,
             u = math.exp(s * kappa) * gain.dot(y)
         else:
             value, _ = log_quantize(quant, math.exp(s))
-            seed = spherical_quantize(d, quant, y)
+            symbol = (value, *_spherical_cell(d, quant, y))
+            entry = decoded.get(symbol)
+            if entry is None:
+                if len(decoded) >= _DECODED_MAX:
+                    decoded.clear()
+                seed = spherical_quantize(d, quant, y)
+                # The quantized state has homogeneous norm `value` by construction.
+                entry = decoded[symbol] = [value ** kappa * gain.dot(seed), seed, None]
+            u = entry[0]
             if record:
-                x_hat = d.apply(math.log(value), seed)
-            # The quantized state has homogeneous norm `value` by construction.
-            u = value ** kappa * gain.dot(seed)
+                if entry[2] is None:
+                    entry[2] = d.apply(math.log(value), entry[1])
+                x_hat = entry[2]
         return np.asarray(drift(x), dtype=float) + b.dot(u), x_hat, u, s
 
     steps = int(round(t_end / h))

@@ -203,6 +203,33 @@ def test_csv_values_roundtrip_exactly(tmp_path):
     assert np.array_equal(rows[:, 7], traj.controls[:, 0])
 
 
+def test_csv_writer_formats_every_value_from_python_floats(tmp_path):
+    from homquant import Trajectory
+    from homquant.cli import _write_trajectory_csv
+    awkward = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e-5]
+    # More rows than the writer formats at a time.
+    vals = np.array(awkward * 363).reshape(605, 3)
+    traj = Trajectory(times=vals[:, 0], states=vals[:, :3], quantized_states=vals[::-1, :3],
+                      controls=vals[:, 1:2], hom_norms=vals[:, 2])
+    out_path = tmp_path / "traj.csv"
+    _write_trajectory_csv(str(out_path), traj)
+    lines = ["t,x1,x2,x3,q1,q2,q3,u1,hnorm"]
+    for k in range(len(traj)):
+        row = ([traj.times[k]] + list(traj.states[k]) + list(traj.quantized_states[k])
+               + list(traj.controls[k]) + [traj.hom_norms[k]])
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_simulate_overflow_at_first_row_writes_only_the_header(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    out_path = tmp_path / "traj.csv"
+    cfg_path.write_text(MINIMAL.replace("x0 = 1 1 1", "x0 = 0 0 1e150")
+                        + "step = 0.001\nt_end = 0.01\n")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert out_path.read_text() == "t,x1,x2,x3,q1,q2,q3,u1,hnorm\n"
+
+
 # ------------------------------------------------------------------ seeds cmd
 
 def test_seeds_subcommand_2d(tmp_path):

@@ -1,10 +1,15 @@
 """Closed-loop integration, feedback evaluation, and trajectory reductions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homquant
 from homquant import (
     EmptyTrajectoryError,
     HomFeedback,
@@ -16,10 +21,13 @@ from homquant import (
     example_plant,
     hom_feedback_eval,
     hom_norm,
+    hom_project,
     hom_quantize,
+    log_quantize,
     make_dilation,
     settling_metrics,
     simulate,
+    spherical_quantize,
 )
 
 GAIN = [[-5.5055, -15.8387, -16.3807]]
@@ -177,6 +185,62 @@ def test_quantized_norms_on_grid(plant, feedback):
         rq = hom_norm(plant.dilation, row)
         steps = (math.log(rq) - math.log(p.xi0)) / math.log(p.nu)
         assert abs(steps - round(steps)) * p.radial_step <= 1e-9
+
+
+@pytest.mark.parametrize("h, t_end", [(1e-3, 0.4), (1e-4, 0.5)])
+def test_quantized_rows_equal_the_scalar_quantizer(plant, feedback, h, t_end):
+    """Every recorded quantized state and control has the bits of the scalar
+    quantizer applied to the recorded state, though simulate decodes each
+    quantizer symbol only once."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    traj = simulate(plant, feedback, p, np.array([1.0, 1.0, 1.0]), h, t_end)
+    d = plant.dilation
+    for k in range(len(traj)):
+        x = traj.states[k]
+        assert np.array_equal(traj.quantized_states[k], hom_quantize(d, p, x))
+        value, _ = log_quantize(p, hom_norm(d, x))
+        seed = spherical_quantize(d, p, hom_project(d, x))
+        assert np.array_equal(traj.controls[k], value ** feedback.norm_power
+                              * feedback.gain.dot(seed))
+
+
+def test_decoded_symbol_table_starts_over_when_full(plant, feedback, monkeypatch):
+    """A run that fills the table of decoded symbols again and again gives
+    the bits of a run that never does."""
+    import homquant.simulation as simulation
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    x0 = np.array([1.0, 1.0, 1.0])
+    expect = simulate(plant, feedback, p, x0, 1e-3, 0.4)
+    monkeypatch.setattr(simulation, "_DECODED_MAX", 2)
+    traj = simulate(plant, feedback, p, x0, 1e-3, 0.4)
+    for name in ("states", "quantized_states", "controls", "hom_norms"):
+        assert np.array_equal(getattr(traj, name), getattr(expect, name))
+
+
+_DECODE_RUNS = [(0.7, math.pi / 20, GAIN), (0.7, math.pi / 20, [[-3.0, -9.0, -11.0]]),
+                (0.5, math.pi / 10, GAIN), (0.5, math.pi / 10, [[-3.0, -9.0, -11.0]])]
+
+
+def _decode_run(nu, delta_angle, gain):
+    p = QuantizerParams(nu=nu, delta_angle=delta_angle, dim=3)
+    traj = simulate(example_plant(), HomFeedback(gain=gain, norm_power=4.0), p,
+                    [1.0, 1.0, 1.0], 1e-3, 0.2)
+    return np.hstack([traj.states, traj.quantized_states, traj.controls,
+                      traj.hom_norms[:, None]])
+
+
+def test_quantized_runs_do_not_share_decoded_symbols(tmp_path):
+    """Quantized runs with two parameter sets and two gains, interleaved in
+    one process, give the bits of the same run made alone in a fresh one."""
+    src = str(Path(homquant.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    for j, run in enumerate(_DECODE_RUNS):
+        code = (f"import numpy as np; from test_simulation import _decode_run; "
+                f"np.save({str(tmp_path / f'{j}.npy')!r}, _decode_run(*{run!r}))")
+        subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                       timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])))
+    for j in (3, 0, 2, 1, 0, 3, 2):
+        assert np.array_equal(_decode_run(*_DECODE_RUNS[j]), np.load(tmp_path / f"{j}.npy"))
 
 
 def test_blowup_raises_and_carries_partial_rows(plant):
