@@ -2,10 +2,13 @@
 """Print a sha256 of each reference output of the ``homquant`` CLI.
 
 The outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
-2, 3, 42, 7919 and 12345, the ``homquant seeds --levels=-2..2`` CSV of
+2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
+--seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
 ``configs/example3d.cfg``, and the ``homquant simulate`` CSVs of that config
-at ``t_end = 0.5``, quantized and nominal.  A change meant to keep every
-result shows the same hashes as the commit before it:
+at ``t_end = 0.5``: quantized and nominal, and quantized under the weight
+``WEIGHT``, which takes the numpy Newton loop instead of the float one.  A
+change meant to keep every result shows the same hashes as the commit before
+it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -28,15 +31,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "example3d.cfg"
 CHECK_SEEDS = (0, 1, 2, 3, 42, 7919, 12345)
+WEIGHT = "2 0.5 0; 0.5 1 0.2; 0 0.2 1"
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _config(text: str, quantized: bool) -> str:
+def _config(text: str, quantized: bool, weight: str | None = None) -> str:
     text = re.sub(r"(?m)^t_end\s*=.*$", "t_end = 0.5", text)
-    return re.sub(r"(?m)^quantized\s*=.*$", f"quantized = {str(quantized).lower()}", text)
+    text = re.sub(r"(?m)^quantized\s*=.*$", f"quantized = {str(quantized).lower()}", text)
+    return text if weight is None else text + f"weight = {weight}\n"
+
+
+def _stdout(argv: list[str]) -> bytes:
+    from homquant.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv)
+    return buf.getvalue().encode()
 
 
 def fingerprints() -> dict[str, str]:
@@ -45,20 +59,23 @@ def fingerprints() -> dict[str, str]:
 
     out = {}
     for seed in CHECK_SEEDS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            main(["check", "--suite", "all", "--seed", str(seed)])
-        out[f"check --suite all --seed {seed}"] = _sha(buf.getvalue().encode())
+        out[f"check --suite all --seed {seed}"] = _sha(
+            _stdout(["check", "--suite", "all", "--seed", str(seed)]))
+    argv = ["check", "--suite", "quantizer", "--nu", "0.5", "--seed", "1"]
+    out[" ".join(argv)] = _sha(_stdout(argv))
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "out.csv")
         main(["seeds", "--config", str(CONFIG), "--levels=-2..2", "--out", csv])
         out["seeds --levels=-2..2"] = _sha(Path(csv).read_bytes())
         text = CONFIG.read_text(encoding="utf-8")
-        for quantized in (True, False):
+        for quantized, weight in ((True, None), (False, None), (True, WEIGHT)):
             cfg = os.path.join(tmp, "run.cfg")
-            Path(cfg).write_text(_config(text, quantized), encoding="utf-8")
+            Path(cfg).write_text(_config(text, quantized, weight), encoding="utf-8")
             main(["simulate", "--config", cfg, "--out", csv])
-            out[f"simulate t_end=0.5 quantized={str(quantized).lower()}"] = _sha(Path(csv).read_bytes())
+            name = f"simulate t_end=0.5 quantized={str(quantized).lower()}"
+            if weight is not None:
+                name += f" weight={weight}"
+            out[name] = _sha(Path(csv).read_bytes())
     return out
 
 

@@ -43,20 +43,15 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import (
-    DEFAULT_CONFIG,
     FundamentalDomain,
-    HomNormConfig,
     distance_bound_alpha1,
-    hom_inner,
     hom_norm,
     hom_norm_many,
     hom_project,
-    matrix_tilde_apply,
     phi,
     phi_inv,
     phi_many,
     projection_index,
-    tilde_add,
     tilde_scale,
 )
 from .quantizer import (

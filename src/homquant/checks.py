@@ -16,10 +16,11 @@ import numpy as np
 
 from .dilation import Dilation, EIG_TOL
 from .errors import NonPositiveFunctionError, NotPositiveDefiniteError, NotSymmetricError
-from .geometry import DEFAULT_CONFIG, FundamentalDomain, HomNormConfig, phi_many
+from .geometry import FundamentalDomain, phi_many
 from .quantizer import QuantizerParams, hom_quantize_many, to_spherical
 
 _RESIDUAL_FLOOR = 1e-12
+_FIELD_SHIFTS = (-2.0, -1.0, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,20 @@ def sample_directions(d: Dilation, rng: np.random.Generator, count: int) -> np.n
     return g / norms[:, None]
 
 
-def sample_states(d: Dilation, spec: SampleSpec, rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_states(d: Dilation, spec: SampleSpec) -> np.ndarray:
     """``count`` rows with log-uniform homogeneous norms in ``radius_range``."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     u = sample_directions(d, rng, spec.count)
     lo, hi = spec.radius_range
     r = np.exp(rng.uniform(math.log(lo), math.log(hi), spec.count))
     return d.apply_each(np.log(r), u.T).T
 
 
-def check_field_homogeneity(field, d: Dilation, mu: float, spec: SampleSpec,
-                            shifts=(-2.0, -1.0, 1.0, 2.0)) -> float:
-    """Worst relative residual of ``f(exp(sG)x) = exp(mu*s) exp(sG) f(x)``."""
+def check_field_homogeneity(field, d: Dilation, mu: float, spec: SampleSpec) -> float:
+    """Worst relative residual of ``f(exp(sG)x) = exp(mu*s) exp(sG) f(x)`` over
+    the shifts ``s`` of ``_FIELD_SHIFTS``."""
     xs = sample_states(d, spec)
-    mats = [(s, d.matrix(s)) for s in shifts]
+    mats = [(s, d.matrix(s)) for s in _FIELD_SHIFTS]
     worst = 0.0
     for x in xs:
         fx = np.asarray(field(x), dtype=float)
@@ -139,29 +139,28 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
 
 def check_quantizer_discrete_homogeneity(d: Dilation, p: QuantizerParams, spec: SampleSpec,
                                          step: float | None = None,
-                                         shifts=range(-3, 4),
-                                         cfg: HomNormConfig = DEFAULT_CONFIG) -> float:
+                                         shifts=range(-3, 4)) -> float:
     """Worst relative commutation residual of the quantizer with the discrete
     dilation group of the given parameter step (default ``-ln(nu)``)."""
     if step is None:
         step = p.radial_step
     rng = np.random.default_rng(spec.seed)
     xs = _sample_off_boundary(d, p, spec, rng)
-    qx = hom_quantize_many(d, p, xs, cfg).T
+    qx = hom_quantize_many(d, p, xs).T
     worst = 0.0
     for k in shifts:
         if k == 0:
             continue
         s = np.full(len(xs), k * step)
-        lhs = hom_quantize_many(d, p, d.apply_each(s, xs.T).T, cfg).T
+        lhs = hom_quantize_many(d, p, d.apply_each(s, xs.T).T).T
         rhs = d.apply_each(s, qx)
         res = d.weighted_norms(lhs - rhs) / np.maximum(d.weighted_norms(rhs), _RESIDUAL_FLOOR)
         worst = max(worst, float(np.max(res)))
     return worst
 
 
-def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec, spec: SampleSpec,
-                     cfg: HomNormConfig = DEFAULT_CONFIG) -> tuple[bool, float]:
+def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec,
+                     spec: SampleSpec) -> tuple[bool, float]:
     """Sector condition in straightened coordinates.
 
     Evaluates ``<phi(f(x)) - K1 phi(x), phi(f(x)) - K2 phi(x)>_P`` at every
@@ -171,8 +170,8 @@ def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec, spec: SampleSpec,
     """
     xs = sample_states(d, spec)
     imgs = np.asarray(phi_map(xs), dtype=float)
-    px = phi_many(d, xs, cfg)
-    pf = phi_many(d, imgs, cfg)
+    px = phi_many(d, xs)
+    pf = phi_many(d, imgs)
     a = pf - px @ sector.k1.T
     b = pf - px @ sector.k2.T
     vals = np.einsum("ij,ij->i", a, (d.weight @ b.T).T)

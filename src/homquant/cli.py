@@ -28,7 +28,7 @@ from .errors import (
     UnknownSuiteError,
     UnsupportedDimensionError,
 )
-from .geometry import hom_norm
+from .geometry import _apply_unit, hom_norm
 from .quantizer import QuantizerParams, unit_from_angles
 from .simulation import HomFeedback, Trajectory, example_plant, simulate
 from .suites import SUITE_NAMES, run_suite
@@ -134,6 +134,8 @@ def parse_config(text: str) -> RunConfig:
     fields["gain"] = gain
     if fields["x0"].shape != (n,):
         raise ConfigValidationError("x0", f"must have {n} entries")
+    if not np.all(np.isfinite(fields["x0"])):
+        raise ConfigValidationError("x0", "must be finite")
 
     try:
         make_dilation(fields["generator"], fields["weight"])
@@ -245,10 +247,14 @@ def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> in
                        for j1 in range(m_pol) for j2 in range(m_az)]
     rows = []
     for level in range(lo, hi + 1):
-        value = p.nu ** level * p.xi0
-        for idx, angles in enumerate(angle_grids):
-            seed = d.apply(math.log(value), unit_from_angles(d, angles))
-            rows.append((level, idx, seed, hom_norm(d, seed)))
+        try:
+            s = math.log(p.nu ** level * p.xi0)
+            for idx, angles in enumerate(angle_grids):
+                seed = _apply_unit(d, s, unit_from_angles(d, angles))
+                rows.append((level, idx, seed, hom_norm(d, seed)))
+        except OverflowError:  # nu**level, or NormOverflowError from the rebuild
+            print(f"error: the seeds of level {level} overflow the float range", file=sys.stderr)
+            return 2
     header = ["level", "angle_index"] + [f"x{i+1}" for i in range(n)] + ["hnorm"]
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

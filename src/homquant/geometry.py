@@ -7,10 +7,10 @@ found by a bracketed Newton iteration with bisection fallback.  The bracket
 comes from the growth exponents of the dilation.
 
 ``phi`` straightens the dilation geometry: it maps ``x`` to
-``|x|_d * exp(-ln|x|_d G) x`` and sends the origin to itself.  Addition,
-scalar action, matrix action and the inner product on the homogeneous space
-are pulled back through ``phi``; norms and inner products of straightened
-vectors always use the weight matrix of the dilation.
+``|x|_d * exp(-ln|x|_d G) x`` and sends the origin to itself.  The sum on the
+homogeneous space is ``phi_inv(phi(x) + phi(y))`` and its inner product is
+``<phi(x), phi(y)>_P``: norms and inner products of straightened vectors
+always use the weight matrix of the dilation.
 """
 
 from __future__ import annotations
@@ -35,26 +35,11 @@ _LOG_MAX = math.log(sys.float_info.max)
 # Below this log-size exp(s*G) x cannot overflow; the margin of 100 below
 # _LOG_MAX covers the conditioning of the weight and of the eigenvectors.
 _LOG_SAFE = _LOG_MAX - 100.0
-
-
-@dataclass(frozen=True)
-class HomNormConfig:
-    """Solver settings for the homogeneous norm root find."""
-
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-    zero_threshold: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.zero_threshold < 0:
-            raise ValueError("zero_threshold must be nonnegative")
-
-
-DEFAULT_CONFIG = HomNormConfig()
+# Settings of the norm solve: relative tolerance on the unit equation, the
+# iteration budget, and the |x|_P at or below which a state is the origin.
+_REL_TOL = 1e-12
+_MAX_ITER = 200
+_ZERO_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,8 +57,8 @@ class FundamentalDomain:
             raise ValueError("rho must be finite and positive")
 
 
-def _solve(d: Dilation, x: np.ndarray, cfg: HomNormConfig,
-           s0: float | None = None, t: float | None = None) -> tuple[float, np.ndarray]:
+def _solve(d: Dilation, x: np.ndarray, s0: float | None = None,
+           t: float | None = None) -> tuple[float, np.ndarray]:
     """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit vector ``exp(-s*G) x``.
 
     The caller guarantees ``|x|_P`` is above the zero threshold and may pass
@@ -99,10 +84,10 @@ def _solve(d: Dilation, x: np.ndarray, cfg: HomNormConfig,
     if scalar:
         lam = d._diag.tolist()
         xs = x.tolist()
-    # Stop at half the requested tolerance so the residual recomputed from
-    # exp(s) by a caller stays within rel_tol despite the extra roundoff.
-    tol = 0.5 * cfg.rel_tol
-    for _ in range(cfg.max_iter):
+    # Stop at half the tolerance so the residual recomputed from exp(s) by a
+    # caller stays within _REL_TOL despite the extra roundoff.
+    tol = 0.5 * _REL_TOL
+    for _ in range(_MAX_ITER):
         if scalar:
             ys = []
             q = 0.0
@@ -139,13 +124,12 @@ def _solve(d: Dilation, x: np.ndarray, cfg: HomNormConfig,
             s_next = 0.5 * (lo + hi)
         s = s_next
     raise NoConvergenceError(
-        f"homogeneous norm solve did not reach rel_tol={cfg.rel_tol} "
-        f"in {cfg.max_iter} iterations"
+        f"homogeneous norm solve did not reach rel_tol={_REL_TOL} "
+        f"in {_MAX_ITER} iterations"
     )
 
 
-def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig,
-                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero),
     given their ``log|x|_P`` as ``t``."""
     lo = np.where(t >= 0, t / d.eta_max, t / d.eta_min)
@@ -153,8 +137,8 @@ def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig,
     s = 0.5 * (lo + hi)
     weight = d.weight
     pg = d._pg
-    tol = 0.5 * cfg.rel_tol
-    for _ in range(cfg.max_iter):
+    tol = 0.5 * _REL_TOL
+    for _ in range(_MAX_ITER):
         y = d.apply_each(-s, cols)
         q = np.einsum("ij,ij->j", y, y if d._p_is_identity else weight @ y)
         g = np.sqrt(q)
@@ -170,7 +154,7 @@ def _solve_many(d: Dilation, cols: np.ndarray, cfg: HomNormConfig,
         s_next = np.where((lo < s_next) & (s_next < hi), s_next, mid)
         s = np.where(done, s, s_next)
     raise NoConvergenceError(
-        f"vectorized homogeneous norm solve did not converge in {cfg.max_iter} iterations"
+        f"vectorized homogeneous norm solve did not converge in {_MAX_ITER} iterations"
     )
 
 
@@ -187,7 +171,7 @@ def _scaled_log_norms(d: Dilation, cols: np.ndarray) -> np.ndarray:
 _HUGE_STATE_ERRSTATE = dict(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 
 
-def _solve_nonzero(d: Dilation, x, cfg: HomNormConfig) -> tuple[float, np.ndarray] | None:
+def _solve_nonzero(d: Dilation, x) -> tuple[float, np.ndarray] | None:
     """:func:`_solve` at ``x``, or ``None`` if ``|x|_P`` is at most the zero threshold.
 
     Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
@@ -196,21 +180,21 @@ def _solve_nonzero(d: Dilation, x, cfg: HomNormConfig) -> tuple[float, np.ndarra
     """
     x = np.asarray(x, dtype=float)
     nrm = d.weighted_norm(x)
-    if nrm <= cfg.zero_threshold:
+    if nrm <= _ZERO_THRESHOLD:
         return None
     if math.isfinite(nrm):
-        root = _solve(d, x, cfg, t=math.log(nrm))
+        root = _solve(d, x, t=math.log(nrm))
     elif not np.all(np.isfinite(x)):
         raise NonFiniteInputError("state has a NaN or infinite entry")
     else:
         with np.errstate(**_HUGE_STATE_ERRSTATE):
-            root = _solve(d, x, cfg, t=float(_scaled_log_norms(d, x[:, None])[0]))
+            root = _solve(d, x, t=float(_scaled_log_norms(d, x[:, None])[0]))
     if root[0] > _LOG_MAX:
         raise NormOverflowError("homogeneous norm of the state exceeds the largest float")
     return root
 
 
-def _solve_many_nonzero(d: Dilation, xs, cfg: HomNormConfig):
+def _solve_many_nonzero(d: Dilation, xs):
     """Row-batch twin of :func:`_solve_nonzero`: ``(cols, mask, s, y)`` with the rows
     of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects."""
     cols = np.asarray(xs, dtype=float).T
@@ -221,7 +205,7 @@ def _solve_many_nonzero(d: Dilation, xs, cfg: HomNormConfig):
     huge = over.any()
     if huge and not np.all(np.isfinite(cols[:, over])):
         raise NonFiniteInputError("a sample row has a NaN or infinite entry")
-    mask = over | (nrm > cfg.zero_threshold)
+    mask = over | (nrm > _ZERO_THRESHOLD)
     sel = cols[:, mask]
     with np.errstate(**(_HUGE_STATE_ERRSTATE if huge else {})):
         # The norms of the contiguous copy: their last bits can differ from
@@ -229,37 +213,37 @@ def _solve_many_nonzero(d: Dilation, xs, cfg: HomNormConfig):
         t = np.log(d.weighted_norms(sel))
         if huge:
             t[over[mask]] = _scaled_log_norms(d, cols[:, over])
-        s, y = _solve_many(d, sel, cfg, t)
+        s, y = _solve_many(d, sel, t)
     if s.size and s.max() > _LOG_MAX:
         raise NormOverflowError("homogeneous norm of a sample row exceeds the largest float")
     return cols, mask, s, y
 
 
-def hom_norm(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> float:
+def hom_norm(d: Dilation, x) -> float:
     """Canonical homogeneous norm of ``x``; zero below the zero threshold."""
-    root = _solve_nonzero(d, x, cfg)
+    root = _solve_nonzero(d, x)
     return 0.0 if root is None else math.exp(root[0])
 
 
-def hom_norm_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hom_norm_many(d: Dilation, xs) -> np.ndarray:
     """Row-wise homogeneous norms of the sample matrix ``xs`` (one sample per row)."""
-    _, mask, s, _ = _solve_many_nonzero(d, xs, cfg)
+    _, mask, s, _ = _solve_many_nonzero(d, xs)
     out = np.zeros(len(mask))
     out[mask] = np.exp(s)
     return out
 
 
-def hom_project(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hom_project(d: Dilation, x) -> np.ndarray:
     """Projection ``exp(-ln|x|_d G) x`` onto the unit sphere of the weighted norm."""
-    root = _solve_nonzero(d, x, cfg)
+    root = _solve_nonzero(d, x)
     if root is None:
         raise ZeroVectorError("cannot project the origin onto the unit sphere")
     return root[1]
 
 
-def phi(d: Dilation, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def phi(d: Dilation, x) -> np.ndarray:
     """Straightening map ``x -> |x|_d * exp(-ln|x|_d G) x``; the origin maps to itself."""
-    root = _solve_nonzero(d, x, cfg)
+    root = _solve_nonzero(d, x)
     if root is None:
         return np.zeros(d.dim)
     s, y = root
@@ -279,12 +263,12 @@ def _apply_unit(d: Dilation, s: float, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def phi_inv(d: Dilation, z, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def phi_inv(d: Dilation, z) -> np.ndarray:
     """Inverse straightening map ``z -> exp(ln|z|_P G) z / |z|_P``; raises
     :class:`NormOverflowError` where the result is past the largest float."""
     z = np.asarray(z, dtype=float)
     nrm = d.weighted_norm(z)
-    if nrm <= cfg.zero_threshold:
+    if nrm <= _ZERO_THRESHOLD:
         return np.zeros(d.dim)
     if math.isfinite(nrm):
         t = math.log(nrm)
@@ -306,9 +290,9 @@ def phi_inv(d: Dilation, z, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
     return _apply_unit(d, t, u)
 
 
-def phi_many(d: Dilation, xs, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def phi_many(d: Dilation, xs) -> np.ndarray:
     """Row-wise :func:`phi` of the sample matrix ``xs``."""
-    cols, mask, s, y = _solve_many_nonzero(d, xs, cfg)
+    cols, mask, s, y = _solve_many_nonzero(d, xs)
     out = np.zeros_like(cols, dtype=float)
     out[:, mask] = np.exp(s) * y
     return out.T
@@ -359,19 +343,14 @@ def _radial_cells(nu: float, rho: float, r: np.ndarray) -> np.ndarray:
     return i
 
 
-def projection_index(fd: FundamentalDomain, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> int:
+def projection_index(fd: FundamentalDomain, x) -> int:
     """Integer ``k`` with ``rho*nu**-k <= |x|_d < rho*nu**-(k+1)``, ``nu = exp(-step)``,
     so that ``exp(-k*step*G) x`` lies in the domain: minus the radial cell of
     :func:`~homquant.quantizer.log_quantize` with this ``nu`` and ``rho``."""
-    root = _solve_nonzero(fd.dilation, x, cfg)
+    root = _solve_nonzero(fd.dilation, x)
     if root is None:
         raise ZeroVectorError("projection index is undefined at the origin")
     return -_radial_cell(math.exp(-fd.step), fd.rho, math.exp(root[0]))
-
-
-def tilde_add(d: Dilation, x, y, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Group addition pulled back through the straightening map."""
-    return phi_inv(d, phi(d, x, cfg) + phi(d, y, cfg), cfg)
 
 
 def tilde_scale(d: Dilation, lam: float, x) -> np.ndarray:
@@ -384,19 +363,6 @@ def tilde_scale(d: Dilation, lam: float, x) -> np.ndarray:
         return np.zeros(d.dim)
     scaled = d.apply(math.log(abs(lam)), x)
     return scaled if lam > 0 else -scaled
-
-
-def hom_inner(d: Dilation, x, y, cfg: HomNormConfig = DEFAULT_CONFIG) -> float:
-    """Inner product of the straightened vectors in the weighted metric."""
-    u = phi(d, x, cfg)
-    v = phi(d, y, cfg)
-    return float(u @ (d.weight @ v))
-
-
-def matrix_tilde_apply(d: Dilation, h, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Linear action of ``h`` carried through the straightening map."""
-    h = np.asarray(h, dtype=float)
-    return phi_inv(d, h @ phi(d, x, cfg), cfg)
 
 
 def distance_bound_alpha1(d: Dilation, vartheta: float) -> float:

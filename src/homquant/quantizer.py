@@ -23,8 +23,8 @@ import numpy as np
 from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
                      NormOverflowError, NotOnSphereError, UnsupportedDimensionError)
-from .geometry import (_LOG_SAFE, DEFAULT_CONFIG, HomNormConfig, _apply_unit, _by_value,
-                       _radial_cell, _radial_cells, _solve_many_nonzero, _solve_nonzero)
+from .geometry import (_LOG_SAFE, _apply_unit, _by_value, _radial_cell, _radial_cells,
+                       _solve_many_nonzero, _solve_nonzero)
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
@@ -197,12 +197,12 @@ def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
     return d.from_euclidean(running * np.vstack([_by_value(math.cos, q), ones])).T
 
 
-def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hom_quantize(d: Dilation, p: QuantizerParams, x) -> np.ndarray:
     """Composed state quantizer: radial rounding of the homogeneous norm and
     angular rounding of the unit projection; the origin is a fixed point.
     Raises :class:`NormOverflowError` where the output is past the largest float."""
     _check_dim(d, p)
-    root = _solve_nonzero(d, x, cfg)
+    root = _solve_nonzero(d, x)
     if root is None:
         return np.zeros(d.dim)
     s, y = root
@@ -211,13 +211,12 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x, cfg: HomNormConfig = DEFAUL
     return _apply_unit(d, math.log(value), seed)
 
 
-def hom_quantize_many(d: Dilation, p: QuantizerParams, xs,
-                      cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hom_quantize_many(d: Dilation, p: QuantizerParams, xs) -> np.ndarray:
     """Row-batch twin of :func:`hom_quantize`: row ``j`` of the result is
-    ``hom_quantize(d, p, xs[j], cfg)``, with its errors.  Away from cell edges
+    ``hom_quantize(d, p, xs[j])``, with its errors.  Away from cell edges
     a row depends on its sample only through its cells, so it has the scalar
     call's bits wherever the rebuild does (diag and expm backends, identity weight)."""
-    cols, mask, s, y = _solve_many_nonzero(d, xs, cfg)
+    cols, mask, s, y = _solve_many_nonzero(d, xs)
     logs = _by_value(math.log, _log_quantize_many(p, np.exp(s)))
     seeds = spherical_quantize_many(d, p, y.T).T
     # As in _apply_unit, only a column with s*eta_max past _LOG_SAFE can overflow.

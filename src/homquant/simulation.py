@@ -17,7 +17,7 @@ import numpy as np
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import EmptyTrajectoryError, NonFiniteStateError
-from .geometry import DEFAULT_CONFIG, HomNormConfig, _solve, _solve_nonzero
+from .geometry import _ZERO_THRESHOLD, _solve, _solve_nonzero
 from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
                         spherical_quantize)
 
@@ -115,10 +115,9 @@ def example_plant(dilation: Dilation | None = None) -> HomPlant:
     return HomPlant(drift=_example_drift, input_matrix=b, degree=1.0, dilation=d)
 
 
-def hom_feedback_eval(fb: HomFeedback, d: Dilation, x,
-                      cfg: HomNormConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hom_feedback_eval(fb: HomFeedback, d: Dilation, x) -> np.ndarray:
     """Feedback law evaluated at ``x``; zero below the zero threshold."""
-    root = _solve_nonzero(d, x, cfg)
+    root = _solve_nonzero(d, x)
     if root is None:
         return np.zeros(fb.gain.shape[0])
     s, y = root
@@ -133,13 +132,12 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def simulate(plant: HomPlant, fb: HomFeedback,
              quant: QuantizerParams | None,
-             x0, h: float, t_end: float,
-             cfg: HomNormConfig = DEFAULT_CONFIG) -> Trajectory:
+             x0, h: float, t_end: float) -> Trajectory:
     """Integrate the closed loop with fixed-step RK4; ``quant``, if given,
     quantizes the fed-back state under the plant's dilation.
 
     Records ``round(t_end/h) + 1`` uniformly spaced rows.  If the weighted
-    norm of the state falls below ``cfg.zero_threshold`` the remaining rows
+    norm of the state falls to the zero threshold (1e-12) the remaining rows
     are recorded as zero.  A NaN or infinite value in the state or in any
     derived quantity aborts with :class:`NonFiniteStateError` carrying the
     (entirely finite) rows recorded so far.
@@ -174,14 +172,14 @@ def simulate(plant: HomPlant, fb: HomFeedback,
         # warm-started at s0.  x_hat is only needed, and so only computed,
         # at a record point.
         nrm = d.weighted_norm(x)
-        if not (nrm > cfg.zero_threshold):
+        if not (nrm > _ZERO_THRESHOLD):
             # Origin (or NaN poison from an earlier overflow, which then
             # propagates through the drift into the step update).
             u = np.zeros(m)
             return np.asarray(drift(x), dtype=float) + b.dot(u), x, u, -math.inf
         if not math.isfinite(nrm):
             return np.full(n, math.nan), x, np.zeros(m), math.inf
-        s, y = _solve(d, x, cfg, s0, math.log(nrm))
+        s, y = _solve(d, x, s0, math.log(nrm))
         x_hat = x
         if quant is None:
             u = math.exp(s * kappa) * gain.dot(y)

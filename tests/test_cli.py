@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,8 @@ def test_duplicate_key_rejected():
     (("nu = 0.7", "nu = 1.7"), "nu"),
     (("delta_angle = 0.15707963267948966", "delta_angle = 7"), "delta_angle"),
     (("gain = -5.5055 -15.8387 -16.3807", "gain = 1 2"), "gain"),
+    (("x0 = 1 1 1", "x0 = 1 nan 1"), "x0"),
+    (("x0 = 1 1 1", "x0 = 1 inf 1"), "x0"),
 ])
 def test_validation_errors_name_the_key(mutation, key):
     with pytest.raises(ConfigValidationError) as info:
@@ -260,6 +263,22 @@ def test_seeds_subcommand_3d_count(tmp_path):
     header, rows = _read_csv(out_path)
     assert header[:2] == ["level", "angle_index"]
     assert rows.shape[0] == 21 * 40  # polar grid x azimuthal grid
+
+
+@pytest.mark.parametrize("level", [-2000, -700])
+def test_seeds_overflow_exits_2_naming_the_level(level, tmp_path, capsys):
+    """Seeds past the largest float: nu**level overflows at -2000, the rebuild
+    exp(s*G) u at -700.  One error line, no numpy warning, no CSV."""
+    cfg_path = tmp_path / "seeds.cfg"
+    out_path = tmp_path / "seeds.csv"
+    cfg_path.write_text(MINIMAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["seeds", "--config", str(cfg_path), f"--levels={level}..{level}",
+                     "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"level {level}" in err[0]
+    assert not out_path.exists()
 
 
 def test_seeds_rejects_unsupported_dimension(tmp_path):

@@ -1,4 +1,4 @@
-"""Canonical homogeneous norm, straightening map, and pulled-back algebra."""
+"""Canonical homogeneous norm, straightening map, and the group's scalar action."""
 
 import math
 import warnings
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from homquant import (
     FundamentalDomain,
     HomFeedback,
-    HomNormConfig,
     NegativeInputError,
     NonFiniteInputError,
     NormOverflowError,
@@ -22,23 +21,21 @@ from homquant import (
     dilation_norm_bounds,
     distance_bound_alpha1,
     hom_feedback_eval,
-    hom_inner,
     hom_norm,
     hom_norm_many,
     hom_project,
     hom_quantize,
     log_quantize,
     make_dilation,
-    matrix_tilde_apply,
     phi,
     phi_inv,
     phi_many,
     projection_index,
     sample_states,
-    tilde_add,
     tilde_scale,
     to_spherical,
 )
+from homquant import geometry
 from homquant.errors import NoConvergenceError
 from homquant.geometry import _radial_cells, _solve
 
@@ -120,11 +117,13 @@ def test_hom_norm_many_matches_scalar(any_dilation, rng):
         assert r == pytest.approx(hom_norm(any_dilation, row), rel=1e-11, abs=1e-13)
 
 
-def test_max_iter_budget_respected(diag321):
-    cfg = HomNormConfig(rel_tol=1e-12, max_iter=1)
-    from homquant.errors import NoConvergenceError
-    with pytest.raises(NoConvergenceError):
-        hom_norm(diag321, [3.0, -2.0, 1.0], cfg)
+def test_max_iter_budget_respected(diag321, monkeypatch):
+    """The scalar and the batch solve both stop at the iteration budget."""
+    monkeypatch.setattr(geometry, "_MAX_ITER", 1)
+    x = np.array([3.0, -2.0, 1.0])
+    for norm, arg in ((hom_norm, x), (hom_norm_many, x[None])):
+        with pytest.raises(NoConvergenceError):
+            norm(diag321, arg)
 
 
 # One generator per evaluation route of the norm solve: the float loop (diag,
@@ -145,46 +144,36 @@ def test_solve_warm_start_returns_cold_root(label, rng):
     generator, weight, mode = WARM_START_DILATIONS[label]
     d = make_dilation(generator, weight)
     assert d._mode == mode
-    cfg = HomNormConfig()
     for _ in range(20):
         x = rng.standard_normal(d.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
         nrm = d.weighted_norm(x)
-        s_cold, y_cold = _solve(d, x, cfg)
+        s_cold, y_cold = _solve(d, x)
         t = math.log(nrm)
         lo, hi = sorted((t / d.eta_max, t / d.eta_min))
         starts = (s_cold, s_cold + 1e-9, s_cold - 1e-3, s_cold + 0.5, lo, hi,
                   lo - 1.0, hi + 1.0, math.nan, math.inf, -math.inf)
         for s0 in starts:
             for given_t in (None, t):
-                s, y = _solve(d, x, cfg, s0, given_t)
-                assert math.exp(s) == pytest.approx(math.exp(s_cold), rel=cfg.rel_tol)
-                assert abs(d.weighted_norm(y) - 1.0) <= cfg.rel_tol
+                s, y = _solve(d, x, s0, given_t)
+                assert math.exp(s) == pytest.approx(math.exp(s_cold), rel=geometry._REL_TOL)
+                assert abs(d.weighted_norm(y) - 1.0) <= geometry._REL_TOL
                 assert np.allclose(y, d.apply(-s, x), rtol=1e-13, atol=0.0)
                 assert np.allclose(y, y_cold, rtol=1e-11, atol=1e-11)
 
 
 @pytest.mark.parametrize("label", sorted(WARM_START_DILATIONS))
-def test_solve_warm_start_honours_max_iter(label):
+def test_solve_warm_start_honours_max_iter(label, monkeypatch):
     generator, weight, _ = WARM_START_DILATIONS[label]
     d = make_dilation(generator, weight)
     x = np.array([3.0, -2.0, 1.0])[:d.dim]
-    s_root, _ = _solve(d, x, HomNormConfig())
-    one = HomNormConfig(max_iter=1)
+    s_root, _ = _solve(d, x)
+    monkeypatch.setattr(geometry, "_MAX_ITER", 1)
     # A start at the root converges at its first evaluation; any other start
     # needs a Newton step, which a budget of one iteration does not allow.
-    assert _solve(d, x, one, s_root)[0] == s_root
+    assert _solve(d, x, s_root)[0] == s_root
     for s0 in (s_root + 1e-3, math.nan):
         with pytest.raises(NoConvergenceError):
-            _solve(d, x, one, s0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        HomNormConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        HomNormConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        HomNormConfig(zero_threshold=-1.0)
+            _solve(d, x, s0)
 
 
 # ----------------------------------------------------------- non-finite input
@@ -321,6 +310,8 @@ def test_phi_roundtrip(any_dilation, rng):
         x = rng.standard_normal(any_dilation.dim) * 4.0
         back = phi_inv(any_dilation, phi(any_dilation, x))
         assert np.allclose(back, x, rtol=1e-9, atol=1e-12)
+        forth = phi(any_dilation, phi_inv(any_dilation, x))
+        assert np.allclose(forth, x, rtol=1e-9, atol=1e-12)
 
 
 def test_phi_many_matches_scalar(diag321, rng):
@@ -337,23 +328,7 @@ def test_phi_example(diag321):
     assert np.allclose(z, [2.0, 0.0, 0.0], atol=1e-12)
 
 
-# ------------------------------------------------------------ pulled-back ops
-
-def test_tilde_add_is_addition_in_phi_coordinates(any_dilation, rng):
-    for _ in range(15):
-        x = rng.standard_normal(any_dilation.dim)
-        y = rng.standard_normal(any_dilation.dim)
-        lhs = phi(any_dilation, tilde_add(any_dilation, x, y))
-        rhs = phi(any_dilation, x) + phi(any_dilation, y)
-        assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
-
-
-def test_tilde_add_commutes_and_has_identity(diag321, rng):
-    x = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    assert np.allclose(tilde_add(diag321, x, y), tilde_add(diag321, y, x), atol=1e-10)
-    assert np.allclose(tilde_add(diag321, x, np.zeros(3)), x, rtol=1e-10, atol=1e-12)
-
+# ---------------------------------------------------------------- scalar action
 
 def test_tilde_scale(diag321):
     x = np.array([8.0, 0.0, 0.0])
@@ -366,7 +341,7 @@ def test_tilde_scale(diag321):
 def test_tilde_scale_inverse_element(any_dilation, rng):
     x = rng.standard_normal(any_dilation.dim)
     neg = tilde_scale(any_dilation, -1.0, x)
-    total = tilde_add(any_dilation, x, neg)
+    total = phi_inv(any_dilation, phi(any_dilation, x) + phi(any_dilation, neg))
     assert np.linalg.norm(total) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 
@@ -376,23 +351,6 @@ def test_tilde_scale_matches_phi_scaling(any_dilation, rng):
         lhs = phi(any_dilation, tilde_scale(any_dilation, lam, x))
         rhs = lam * phi(any_dilation, x)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-11)
-
-
-def test_hom_inner(any_dilation, rng):
-    x = rng.standard_normal(any_dilation.dim)
-    y = rng.standard_normal(any_dilation.dim)
-    assert hom_inner(any_dilation, x, y) == pytest.approx(
-        hom_inner(any_dilation, y, x), rel=1e-12)
-    assert hom_inner(any_dilation, x, x) == pytest.approx(
-        hom_norm(any_dilation, x) ** 2, rel=1e-10)
-
-
-def test_matrix_tilde_apply(diag321, rng):
-    h = rng.standard_normal((3, 3))
-    x = rng.standard_normal(3)
-    lhs = phi(diag321, matrix_tilde_apply(diag321, h, x))
-    rhs = h @ phi(diag321, x)
-    assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-11)
 
 
 # ----------------------------------------------------------- fundamental domain
@@ -478,7 +436,7 @@ def test_alpha1_dominates_sampled_distances(diag321, rng):
         px, py = phi(diag321, x), phi(diag321, y)
         denom = diag321.weighted_norm(px)
         theta = diag321.weighted_norm(py - px) / denom
-        gap = tilde_add(diag321, y, tilde_scale(diag321, -1.0, x))
+        gap = phi_inv(diag321, py - px)  # y minus x in the homogeneous space
         bound = distance_bound_alpha1(diag321, theta) * (1.0 + 1e-9)
         assert (hom_norm(diag321, gap) / hom_norm(diag321, x)) ** 2 <= bound
         # the bound also covers the plain coordinate difference

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from homquant import (
     DimensionTooSmallError,
     FundamentalDomain,
-    HomNormConfig,
     HomquantError,
     NegativeInputError,
     NonFiniteInputError,
@@ -38,7 +37,7 @@ from homquant import (
     to_spherical,
     unit_from_angles,
 )
-from homquant import suites
+from homquant import geometry, suites
 from homquant.checks import _sample_off_boundary, sample_directions
 from homquant.geometry import _edge, _radial_cell, _radial_cells
 
@@ -144,7 +143,7 @@ def _cell_inputs(p):
 
 
 @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
-def test_radial_cells_are_the_fundamental_annuli(nu):
+def test_radial_cells_are_the_fundamental_annuli(nu, monkeypatch):
     """The level of log_quantize is minus the projection_index of the same
     norm on the identity dilation of the same group, and the scalar and vector
     cell lookups agree row by row, at every edge and at the float extremes."""
@@ -156,15 +155,16 @@ def test_radial_cells_are_the_fundamental_annuli(nu):
         assert _edge(p.nu, p.rho, i) <= z < _edge(p.nu, p.rho, i - 1)
     # The group of step -ln(nu) has the ratio exp(ln(nu)), which is one ulp
     # off nu = 0.05; its quantizer is the one whose cells are its annuli.
-    d, cfg = make_dilation(np.eye(1)), HomNormConfig(zero_threshold=0.0)
+    monkeypatch.setattr(geometry, "_ZERO_THRESHOLD", 0.0)
+    d = make_dilation(np.eye(1))
     fd = FundamentalDomain(d, p.radial_step, rho=p.rho)
     q = QuantizerParams(nu=math.exp(-fd.step), delta_angle=1.0, dim=1)
     # The norm solve sees z only where z*z is a normal float.
     xs = [np.array([z]) for z in _cell_inputs(q) if z >= 1e-150]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # |x|^2 overflows past 1e154
-        r = np.array([hom_norm(d, x, cfg) for x in xs])
-        ks = [projection_index(fd, x, cfg) for x in xs]
+        r = np.array([hom_norm(d, x) for x in xs])
+        ks = [projection_index(fd, x) for x in xs]
     assert ks == [-log_quantize(q, v)[1] for v in r]
     assert _radial_cells(q.nu, q.rho, r).tolist() == [_radial_cell(q.nu, q.rho, v) for v in r]
 
