@@ -4,11 +4,12 @@
 The outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
-``configs/example3d.cfg``, and the ``homquant simulate`` CSVs of that config
-at ``t_end = 0.5``: quantized and nominal, and quantized under the weight
-``WEIGHT``, which takes the numpy Newton loop instead of the float one.  A
-change meant to keep every result shows the same hashes as the commit before
-it:
+``configs/example3d.cfg`` and the ``homquant seeds --levels=-3..3`` CSV of the
+2-D Jordan config ``JORDAN``, whose dilation takes the scalar Pade kernel, and
+the ``homquant simulate`` CSVs of ``configs/example3d.cfg`` at ``t_end = 0.5``:
+quantized and nominal, and quantized under the weight ``WEIGHT``, which takes
+the numpy Newton loop instead of the float one.  A change meant to keep every
+result shows the same hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -32,6 +33,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "example3d.cfg"
 CHECK_SEEDS = (0, 1, 2, 3, 42, 7919, 12345)
 WEIGHT = "2 0.5 0; 0.5 1 0.2; 0 0.2 1"
+JORDAN = ("generator = 1 1; 0 1\ngain = -1 -1.5\nnu = 0.7\n"
+          "delta_angle = 0.15707963267948966\nx0 = 1 1\n")
 
 
 def _sha(data: bytes) -> str:
@@ -67,9 +70,12 @@ def fingerprints() -> dict[str, str]:
         csv = os.path.join(tmp, "out.csv")
         main(["seeds", "--config", str(CONFIG), "--levels=-2..2", "--out", csv])
         out["seeds --levels=-2..2"] = _sha(Path(csv).read_bytes())
+        cfg = os.path.join(tmp, "run.cfg")
+        Path(cfg).write_text(JORDAN, encoding="utf-8")
+        main(["seeds", "--config", cfg, "--levels=-3..3", "--out", csv])
+        out["seeds --levels=-3..3 jordan2"] = _sha(Path(csv).read_bytes())
         text = CONFIG.read_text(encoding="utf-8")
         for quantized, weight in ((True, None), (False, None), (True, WEIGHT)):
-            cfg = os.path.join(tmp, "run.cfg")
             Path(cfg).write_text(_config(text, quantized, weight), encoding="utf-8")
             main(["simulate", "--config", cfg, "--out", csv])
             name = f"simulate t_end=0.5 quantized={str(quantized).lower()}"

@@ -18,7 +18,6 @@ from .checks import (
 )
 from .dilation import (
     Dilation,
-    dilate,
     dilation_norm_bounds,
     make_dilation,
 )
@@ -57,7 +56,6 @@ from .geometry import (
 from .quantizer import (
     QuantizerParams,
     angular_error_bound,
-    beta,
     epsilon_tilde,
     hom_quantize,
     hom_quantize_many,

@@ -159,14 +159,13 @@ def check_quantizer_discrete_homogeneity(d: Dilation, p: QuantizerParams, spec: 
     return worst
 
 
-def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec,
-                     spec: SampleSpec) -> tuple[bool, float]:
+def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec, spec: SampleSpec) -> float:
     """Sector condition in straightened coordinates.
 
     Evaluates ``<phi(f(x)) - K1 phi(x), phi(f(x)) - K2 phi(x)>_P`` at every
-    sample and reports ``(all <= 1e-10, worst value)``.  ``phi_map`` maps the
-    sample matrix (one state per row) to the matrix of their images, row by
-    row.
+    sample and returns the worst (largest) value; the condition holds where
+    it is at most zero.  ``phi_map`` maps the sample matrix (one state per
+    row) to the matrix of their images, row by row.
     """
     xs = sample_states(d, spec)
     imgs = np.asarray(phi_map(xs), dtype=float)
@@ -175,8 +174,7 @@ def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec,
     a = pf - px @ sector.k1.T
     b = pf - px @ sector.k2.T
     vals = np.einsum("ij,ij->i", a, (d.weight @ b.T).T)
-    worst = float(np.max(vals))
-    return worst <= 1e-10, worst
+    return float(np.max(vals))
 
 
 def ratio_bounds_on_domain(f1, nu1: float, f2, nu2: float, fd: FundamentalDomain,

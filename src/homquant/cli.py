@@ -162,27 +162,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _fmt_matrix(m: np.ndarray) -> str:
-    return "; ".join(" ".join(_fmt(v) for v in row) for row in np.atleast_2d(m))
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; ``parse_config`` inverts it exactly."""
-    lines = [
-        f"generator = {_fmt_matrix(cfg.generator)}",
-        f"weight = {_fmt_matrix(cfg.weight)}",
-        f"gain = {_fmt_matrix(cfg.gain)}",
-        f"norm_power = {_fmt(cfg.norm_power)}",
-        f"nu = {_fmt(cfg.nu)}",
-        f"delta_angle = {_fmt(cfg.delta_angle)}",
-        f"x0 = {' '.join(_fmt(v) for v in cfg.x0)}",
-        f"step = {_fmt(cfg.step)}",
-        f"t_end = {_fmt(cfg.t_end)}",
-        f"quantized = {'true' if cfg.quantized else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
     n = traj.states.shape[1]
     m = traj.controls.shape[1]
@@ -248,9 +227,13 @@ def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> in
     rows = []
     for level in range(lo, hi + 1):
         try:
-            s = math.log(p.nu ** level * p.xi0)
+            value = p.nu ** level * p.xi0
             for idx, angles in enumerate(angle_grids):
-                seed = _apply_unit(d, s, unit_from_angles(d, angles))
+                seed = np.zeros(n) if value == 0.0 else \
+                    _apply_unit(d, math.log(value), unit_from_angles(d, angles))
+                if not seed.any():
+                    print(f"error: the seeds of level {level} underflow to zero", file=sys.stderr)
+                    return 2
                 rows.append((level, idx, seed, hom_norm(d, seed)))
         except OverflowError:  # nu**level, or NormOverflowError from the rebuild
             print(f"error: the seeds of level {level} overflow the float range", file=sys.stderr)

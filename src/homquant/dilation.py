@@ -75,7 +75,9 @@ class Dilation:
     _g1norm: float = field(repr=False)
 
     def matrix(self, s: float) -> np.ndarray:
-        """Dense ``exp(s*G)``."""
+        """Dense ``exp(s*G)``; a NaN or infinite ``s`` raises :class:`NonFiniteInputError`."""
+        if not math.isfinite(s):
+            raise NonFiniteInputError("dilation parameter must be finite")
         if self._mode == "diag":
             return np.diag(np.exp(s * self._diag))
         if self._mode == "eig":
@@ -280,14 +282,6 @@ def make_dilation(generator, weight=None) -> Dilation:
         _pade=pade,
         _g1norm=g1norm,
     )
-
-
-def dilate(d: Dilation, s: float) -> np.ndarray:
-    """Group element ``exp(s*G)`` as a dense matrix."""
-    s = float(s)
-    if not math.isfinite(s):
-        raise NonFiniteInputError("dilation parameter must be finite")
-    return d.matrix(s)
 
 
 def dilation_norm_bounds(d: Dilation, s: float) -> tuple[float, float]:

@@ -239,12 +239,7 @@ def angular_error_bound(delta_angle: float, dim: int) -> float:
     return 2.0 * math.sqrt(max(1.0 - c, 0.0))
 
 
-def beta(p: QuantizerParams) -> float:
-    """Angular error bound for the parameter set ``p``."""
-    return angular_error_bound(p.delta_angle, p.dim)
-
-
 def epsilon_tilde(p: QuantizerParams) -> float:
     """Homogeneous sector radius of the composed quantizer:
-    ``(1+delta)*beta + delta``."""
-    return (1.0 + p.delta) * beta(p) + p.delta
+    ``(1+delta)*b + delta``, with ``b`` the :func:`angular_error_bound` of ``p``."""
+    return (1.0 + p.delta) * angular_error_bound(p.delta_angle, p.dim) + p.delta

@@ -162,15 +162,14 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     kappa = fb.norm_power
     gain = fb.gain
     # Quantized feedback, decoded once per symbol (radial value, angle cell)
-    # as [u, seed, x_hat], x_hat at the first record point that needs it.
-    # The value keys it, not the level: an underflowed norm is 0 at level 0.
-    decoded: dict[tuple, list] = {}
+    # as (u, x_hat).  The value keys it, not the level: an underflowed norm
+    # is 0 at level 0.
+    decoded: dict[tuple, tuple] = {}
 
-    def stage(x, s0, record=False):
+    def stage(x, s0):
         # (xdot, x_hat, u, s) at one RK stage, with hom_norm = exp(s) (s is
         # -inf at the origin, +inf when |x|_P overflows) and the solve
-        # warm-started at s0.  x_hat is only needed, and so only computed,
-        # at a record point.
+        # warm-started at s0.
         nrm = d.weighted_norm(x)
         if not (nrm > _ZERO_THRESHOLD):
             # Origin (or NaN poison from an earlier overflow, which then
@@ -192,12 +191,9 @@ def simulate(plant: HomPlant, fb: HomFeedback,
                     decoded.clear()
                 seed = spherical_quantize(d, quant, y)
                 # The quantized state has homogeneous norm `value` by construction.
-                entry = decoded[symbol] = [value ** kappa * gain.dot(seed), seed, None]
-            u = entry[0]
-            if record:
-                if entry[2] is None:
-                    entry[2] = d.apply(math.log(value), entry[1])
-                x_hat = entry[2]
+                entry = decoded[symbol] = (value ** kappa * gain.dot(seed),
+                                           d.apply(math.log(value), seed))
+            u, x_hat = entry
         return np.asarray(drift(x), dtype=float) + b.dot(u), x_hat, u, s
 
     steps = int(round(t_end / h))
@@ -223,7 +219,7 @@ def simulate(plant: HomPlant, fb: HomFeedback,
             try:
                 bad = not _all_finite(x)
                 if not bad:
-                    k1, x_hat, u, s1 = stage(x, guess, True)
+                    k1, x_hat, u, s1 = stage(x, guess)
                     r = math.exp(s1)
                     bad = not (math.isfinite(r) and _all_finite(x_hat) and _all_finite(u))
             except OverflowError:

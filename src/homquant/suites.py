@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import checks, geometry, quantizer, simulation
-from .dilation import dilate, dilation_norm_bounds, make_dilation
+from .dilation import dilation_norm_bounds, make_dilation
 from .errors import HomquantError, UnknownSuiteError
 
 _GENERATORS = {
@@ -84,9 +84,9 @@ def _group_law(label, rng_seed, nu_override):
     eye = np.eye(d.dim)
     worst = 0.0
     for s, t in np.random.default_rng(rng_seed).uniform(-3.0, 3.0, (250, 2)):
-        rhs = dilate(d, s + t)
-        inverse = dilate(d, s) @ dilate(d, -s)
-        worst = max(worst, np.linalg.norm(dilate(d, s) @ dilate(d, t) - rhs) / np.linalg.norm(rhs),
+        rhs = d.matrix(s + t)
+        inverse = d.matrix(s) @ d.matrix(-s)
+        worst = max(worst, np.linalg.norm(d.matrix(s) @ d.matrix(t) - rhs) / np.linalg.norm(rhs),
                     np.linalg.norm(inverse - eye) / math.sqrt(d.dim))
     return worst
 
@@ -94,7 +94,7 @@ def _group_law(label, rng_seed, nu_override):
 def _generator_commutes(label, rng_seed, nu_override):
     d = _dilation(label)
     g = d.generator
-    ds = [dilate(d, s) for s in np.random.default_rng(rng_seed).uniform(-3.0, 3.0, 20)]
+    ds = [d.matrix(s) for s in np.random.default_rng(rng_seed).uniform(-3.0, 3.0, 20)]
     return max(np.max(np.abs(g @ m - m @ g)) for m in ds)
 
 
@@ -154,7 +154,7 @@ def _radial_sector(rng_seed, nu_override):
 def _spherical_error(dim, rng_seed, nu_override):
     d = make_dilation(np.eye(dim))
     p = _quant_params(dim, nu_override)
-    bound = quantizer.beta(p)
+    bound = quantizer.angular_error_bound(p.delta_angle, dim)
     u = checks.sample_directions(d, np.random.default_rng(rng_seed + dim), 10_000)
     err = d.weighted_norms((quantizer.spherical_quantize_many(d, p, u) - u).T)
     return float(np.max(err)) - bound
@@ -189,7 +189,7 @@ def _output_norm_grid(rng_seed, nu_override):
 def _identity_sector(rng_seed, nu_override):
     sector = checks.SectorSpec(k1=0.5 * np.eye(3), k2=1.5 * np.eye(3))
     spec = checks.SampleSpec(count=2000, seed=rng_seed)
-    return checks.check_hom_sector(lambda x: x, _dilation("diag321"), sector, spec)[1]
+    return checks.check_hom_sector(lambda x: x, _dilation("diag321"), sector, spec)
 
 
 def _quantizer_sector(rng_seed, nu_override):
@@ -198,7 +198,7 @@ def _quantizer_sector(rng_seed, nu_override):
     eps = quantizer.epsilon_tilde(p)
     sector = checks.SectorSpec(k1=(1.0 - eps) * np.eye(3), k2=(1.0 + eps) * np.eye(3))
     spec = checks.SampleSpec(count=10_000, seed=rng_seed)
-    return checks.check_hom_sector(partial(quantizer.hom_quantize_many, d, p), d, sector, spec)[1]
+    return checks.check_hom_sector(partial(quantizer.hom_quantize_many, d, p), d, sector, spec)
 
 
 def _empirical_margin(rng_seed, nu_override):
@@ -252,8 +252,8 @@ def _scaling_symmetry(rng_seed, nu_override):
 def _quantized_norm_grid(rng_seed, nu_override):
     p = _quant_params(3, nu_override)
     traj = _simulate(p, _BENCH_X0, 1e-3, 2.0)
-    rqs = [geometry.hom_norm(_plant().dilation, row)
-           for row in traj.quantized_states[:: max(1, len(traj) // 200)]]
+    rqs = geometry.hom_norm_many(_plant().dilation,
+                                 traj.quantized_states[:: max(1, len(traj) // 200)])
     return max((_grid_offset(p, rq) for rq in rqs if rq != 0.0), default=0.0)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import homquant
 from homquant import ConfigParseError, ConfigValidationError, UnknownSuiteError
-from homquant.cli import cmd_check, main, parse_config, serialize_config
+from homquant.cli import cmd_check, main, parse_config
 from homquant.suites import PROPERTIES
 
 MINIMAL = """
@@ -57,23 +57,6 @@ def test_parse_full_document():
     cfg = parse_config(text)
     assert cfg.step == 0.001 and cfg.t_end == 2.5
     assert cfg.quantized is False
-
-
-def test_serialize_roundtrip():
-    cfg = parse_config(MINIMAL)
-    text = serialize_config(cfg)
-    cfg2 = parse_config(text)
-    assert np.array_equal(cfg.generator, cfg2.generator)
-    assert np.array_equal(cfg.gain, cfg2.gain)
-    assert np.array_equal(cfg.x0, cfg2.x0)
-    assert cfg.nu == cfg2.nu and cfg.delta_angle == cfg2.delta_angle
-    assert cfg.step == cfg2.step and cfg.t_end == cfg2.t_end
-    assert cfg.quantized == cfg2.quantized
-
-
-def test_serialize_preserves_awkward_floats():
-    cfg = parse_config(MINIMAL.replace("nu = 0.7", "nu = 0.1000000000000000056"))
-    assert parse_config(serialize_config(cfg)).nu == cfg.nu
 
 
 @pytest.mark.parametrize("old,line,fragment", [
@@ -265,10 +248,12 @@ def test_seeds_subcommand_3d_count(tmp_path):
     assert rows.shape[0] == 21 * 40  # polar grid x azimuthal grid
 
 
-@pytest.mark.parametrize("level", [-2000, -700])
+@pytest.mark.parametrize("level", [-2000, -700, 1000, 3000])
 def test_seeds_overflow_exits_2_naming_the_level(level, tmp_path, capsys):
-    """Seeds past the largest float: nu**level overflows at -2000, the rebuild
-    exp(s*G) u at -700.  One error line, no numpy warning, no CSV."""
+    """Seeds outside the float range, in both directions: past the largest
+    float, nu**level overflows at -2000 and the rebuild exp(s*G) u at -700;
+    towards zero, nu**level underflows to 0.0 at 3000, and at 1000 some seeds
+    round to the zero vector.  One error line, no numpy warning, no CSV."""
     cfg_path = tmp_path / "seeds.cfg"
     out_path = tmp_path / "seeds.csv"
     cfg_path.write_text(MINIMAL)
@@ -278,6 +263,7 @@ def test_seeds_overflow_exits_2_naming_the_level(level, tmp_path, capsys):
                      "--out", str(out_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"level {level}" in err[0]
+    assert ("underflow" if level > 0 else "overflow") in err[0]
     assert not out_path.exists()
 
 

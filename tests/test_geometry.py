@@ -17,7 +17,6 @@ from homquant import (
     QuantizerParams,
     SampleSpec,
     ZeroVectorError,
-    dilate,
     dilation_norm_bounds,
     distance_bound_alpha1,
     hom_feedback_eval,
@@ -199,7 +198,7 @@ NON_FINITE_CALLS = {
     "phi_inv": lambda d: phi_inv(d, [math.nan, 1.0, 0.0]),
     "tilde_scale-state": lambda d: tilde_scale(d, 2.0, [math.inf, 0.0, 0.0]),
     "tilde_scale-scalar": lambda d: tilde_scale(d, math.nan, [1.0, 0.0, 0.0]),
-    "dilate": lambda d: dilate(d, math.nan),
+    "matrix": lambda d: d.matrix(math.nan),
     "dilation_norm_bounds": lambda d: dilation_norm_bounds(d, math.inf),
 }
 

@@ -20,7 +20,6 @@ from homquant import (
     SampleSpec,
     UnsupportedDimensionError,
     angular_error_bound,
-    beta,
     epsilon_tilde,
     hom_norm,
     hom_norm_many,
@@ -249,7 +248,7 @@ def test_spherical_quantize_rejects_non_finite(diag321):
 def test_spherical_quantize_error_bound(n, rng):
     d = make_dilation(np.eye(n))
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=n)
-    bound = beta(p)
+    bound = angular_error_bound(p.delta_angle, p.dim)
     for u in sample_directions(d, rng, 400):
         err = np.linalg.norm(spherical_quantize(d, p, u) - u)
         assert err <= bound + 1e-10
@@ -270,7 +269,7 @@ def test_spherical_quantize_weighted(rng):
     pw = np.array([[2.0, 0.4, 0.0], [0.4, 1.5, 0.0], [0.0, 0.0, 1.0]])
     d = make_dilation(np.diag([3.0, 2.0, 1.0]), weight=pw)
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
-    bound = beta(p)
+    bound = angular_error_bound(p.delta_angle, p.dim)
     for u in sample_directions(d, rng, 60):
         q = spherical_quantize(d, p, u)
         assert d.weighted_norm(q) == pytest.approx(1.0, abs=1e-12)
