@@ -8,8 +8,11 @@ The outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2-D Jordan config ``JORDAN``, whose dilation takes the scalar Pade kernel, and
 the ``homquant simulate`` CSVs of ``configs/example3d.cfg`` at ``t_end = 0.5``:
 quantized and nominal, and quantized under the weight ``WEIGHT``, which takes
-the numpy Newton loop instead of the float one.  A change meant to keep every
-result shows the same hashes as the commit before it:
+the numpy Newton loop instead of the float one.  Four more ``simulate`` runs
+of that config blow up (``BLOWUPS``, quantized and nominal): their CSVs are
+hashed with the exit status, so the partial trajectory of the error exit is
+covered too.  A change meant to keep every result shows the same hashes as
+the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -35,15 +38,21 @@ CHECK_SEEDS = (0, 1, 2, 3, 42, 7919, 12345)
 WEIGHT = "2 0.5 0; 0.5 1 0.2; 0 0.2 1"
 JORDAN = ("generator = 1 1; 0 1\ngain = -1 -1.5\nnu = 0.7\n"
           "delta_angle = 0.15707963267948966\nx0 = 1 1\n")
+# Settings under which the benchmark loop blows up: the gain of the wrong sign
+# (the error comes from an RK4 stage after 179 quantized and 157 nominal rows),
+# and the stock gain with a step of 0.5 (from a row check after 3 rows).
+BLOWUPS = ({"gain": "5.5055 15.8387 16.3807", "step": "0.001", "t_end": "5"},
+           {"step": "0.5", "t_end": "20"})
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _config(text: str, quantized: bool, weight: str | None = None) -> str:
-    text = re.sub(r"(?m)^t_end\s*=.*$", "t_end = 0.5", text)
-    text = re.sub(r"(?m)^quantized\s*=.*$", f"quantized = {str(quantized).lower()}", text)
+def _config(text: str, quantized: bool, weight: str | None = None, **keys: str) -> str:
+    keys = {"t_end": "0.5", **keys, "quantized": str(quantized).lower()}
+    for key, value in keys.items():
+        text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
     return text if weight is None else text + f"weight = {weight}\n"
 
 
@@ -82,6 +91,13 @@ def fingerprints() -> dict[str, str]:
             if weight is not None:
                 name += f" weight={weight}"
             out[name] = _sha(Path(csv).read_bytes())
+        for keys in BLOWUPS:
+            for quantized in (True, False):
+                Path(cfg).write_text(_config(text, quantized, **keys), encoding="utf-8")
+                status = main(["simulate", "--config", cfg, "--out", csv])
+                name = " ".join(f"{k}={v}" for k, v in keys.items())
+                name = f"simulate {name} quantized={str(quantized).lower()} (CSV, exit status)"
+                out[name] = _sha(f"exit {status}\n".encode() + Path(csv).read_bytes())
     return out
 
 

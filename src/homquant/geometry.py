@@ -57,18 +57,15 @@ class FundamentalDomain:
             raise ValueError("rho must be finite and positive")
 
 
-def _solve(d: Dilation, x: np.ndarray, s0: float | None = None,
-           t: float | None = None) -> tuple[float, np.ndarray]:
+def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[float, np.ndarray]:
     """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit vector ``exp(-s*G) x``.
 
-    The caller guarantees ``|x|_P`` is above the zero threshold and may pass
+    The caller guarantees ``|x|_P`` is above the zero threshold and passes
     its logarithm as ``t``.  ``s0`` warm-starts the iteration (a nearby
     state's root, say); a guess that is not strictly inside the global
     bracket, NaN or infinite included, is replaced by the bracket midpoint,
     and the bracket keeps safeguarding every step either way.
     """
-    if t is None:
-        t = math.log(d.weighted_norm(x))
     if t >= 0:
         lo, hi = t / d.eta_max, t / d.eta_min
     else:
@@ -171,8 +168,9 @@ def _scaled_log_norms(d: Dilation, cols: np.ndarray) -> np.ndarray:
 _HUGE_STATE_ERRSTATE = dict(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 
 
-def _solve_nonzero(d: Dilation, x) -> tuple[float, np.ndarray] | None:
-    """:func:`_solve` at ``x``, or ``None`` if ``|x|_P`` is at most the zero threshold.
+def _solve_nonzero(d: Dilation, x, s0: float | None = None) -> tuple[float, np.ndarray] | None:
+    """:func:`_solve` at ``x``, warm-started at ``s0``, or ``None`` if ``|x|_P``
+    is at most the zero threshold.
 
     Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
     and :class:`NormOverflowError` if the homogeneous norm of ``x`` exceeds
@@ -183,12 +181,12 @@ def _solve_nonzero(d: Dilation, x) -> tuple[float, np.ndarray] | None:
     if nrm <= _ZERO_THRESHOLD:
         return None
     if math.isfinite(nrm):
-        root = _solve(d, x, t=math.log(nrm))
+        root = _solve(d, x, s0, math.log(nrm))
     elif not np.all(np.isfinite(x)):
         raise NonFiniteInputError("state has a NaN or infinite entry")
     else:
         with np.errstate(**_HUGE_STATE_ERRSTATE):
-            root = _solve(d, x, t=float(_scaled_log_norms(d, x[:, None])[0]))
+            root = _solve(d, x, s0, float(_scaled_log_norms(d, x[:, None])[0]))
     if root[0] > _LOG_MAX:
         raise NormOverflowError("homogeneous norm of the state exceeds the largest float")
     return root
@@ -275,10 +273,6 @@ def phi_inv(d: Dilation, z) -> np.ndarray:
         # |exp(tG) z|_P <= exp(t*eta_max) |z|_P = exp(t*(eta_max + 1)).
         if t * (d.eta_max + 1.0) <= _LOG_SAFE:
             return d.apply(t, z) / nrm
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = d.apply(t, z) / nrm
-        if np.all(np.isfinite(x)):
-            return x
         u = z / nrm
     elif not np.all(np.isfinite(z)):
         raise NonFiniteInputError("state has a NaN or infinite entry")
@@ -286,7 +280,7 @@ def phi_inv(d: Dilation, z) -> np.ndarray:
         c = float(np.max(np.abs(z)))
         w = d.weighted_norm(z / c)
         t, u = math.log(c) + math.log(w), z / c / w
-    # exp(tG) z, or |z|_P itself, overflowed: exponentiate the unit vector z / |z|_P.
+    # exp(tG) z, or |z|_P itself, can overflow: exponentiate the unit vector z / |z|_P.
     return _apply_unit(d, t, u)
 
 

@@ -203,12 +203,10 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x) -> np.ndarray:
     Raises :class:`NormOverflowError` where the output is past the largest float."""
     _check_dim(d, p)
     root = _solve_nonzero(d, x)
-    if root is None:
+    value = 0.0 if root is None else log_quantize(p, math.exp(root[0]))[0]
+    if value == 0.0:  # the origin, or a norm that underflows to 0.0 as in hom_norm
         return np.zeros(d.dim)
-    s, y = root
-    value, _ = log_quantize(p, math.exp(s))
-    seed = spherical_quantize(d, p, y)
-    return _apply_unit(d, math.log(value), seed)
+    return _apply_unit(d, math.log(value), spherical_quantize(d, p, root[1]))
 
 
 def hom_quantize_many(d: Dilation, p: QuantizerParams, xs) -> np.ndarray:
@@ -217,8 +215,15 @@ def hom_quantize_many(d: Dilation, p: QuantizerParams, xs) -> np.ndarray:
     a row depends on its sample only through its cells, so it has the scalar
     call's bits wherever the rebuild does (diag and expm backends, identity weight)."""
     cols, mask, s, y = _solve_many_nonzero(d, xs)
-    logs = _by_value(math.log, _log_quantize_many(p, np.exp(s)))
-    seeds = spherical_quantize_many(d, p, y.T).T
+    r = np.exp(s)
+    values = np.zeros_like(r)
+    pos = r > 0.0
+    values[pos] = _log_quantize_many(p, r[pos])
+    # A norm or value that underflows to 0.0 is the origin, as in hom_norm.
+    keep = values > 0.0
+    mask[mask] = keep
+    logs = _by_value(math.log, values[keep])
+    seeds = spherical_quantize_many(d, p, y[:, keep].T).T
     # As in _apply_unit, only a column with s*eta_max past _LOG_SAFE can overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         q = d.apply_each(logs, seeds)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
-from .errors import EmptyTrajectoryError, NonFiniteStateError
-from .geometry import _ZERO_THRESHOLD, _solve, _solve_nonzero
+from .errors import EmptyTrajectoryError, NonFiniteInputError, NonFiniteStateError
+from .geometry import _apply_unit, _solve_nonzero
 from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
                         spherical_quantize)
 
@@ -136,11 +136,11 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     """Integrate the closed loop with fixed-step RK4; ``quant``, if given,
     quantizes the fed-back state under the plant's dilation.
 
-    Records ``round(t_end/h) + 1`` uniformly spaced rows.  If the weighted
-    norm of the state falls to the zero threshold (1e-12) the remaining rows
-    are recorded as zero.  A NaN or infinite value in the state or in any
-    derived quantity aborts with :class:`NonFiniteStateError` carrying the
-    (entirely finite) rows recorded so far.
+    Records ``round(t_end/h) + 1`` uniformly spaced rows.  If the state
+    reaches the origin, as :func:`~homquant.geometry.hom_norm` decides it,
+    the remaining rows are recorded as zero.  A NaN or infinite value in the
+    state or in any derived quantity aborts with :class:`NonFiniteStateError`
+    carrying the (entirely finite) rows recorded so far.
     """
     if quant is not None:
         if not isinstance(quant, QuantizerParams):
@@ -162,38 +162,34 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     kappa = fb.norm_power
     gain = fb.gain
     # Quantized feedback, decoded once per symbol (radial value, angle cell)
-    # as (u, x_hat).  The value keys it, not the level: an underflowed norm
-    # is 0 at level 0.
+    # as (u, x_hat).
     decoded: dict[tuple, tuple] = {}
+    no_control = np.zeros(m)
 
     def stage(x, s0):
         # (xdot, x_hat, u, s) at one RK stage, with hom_norm = exp(s) (s is
-        # -inf at the origin, +inf when |x|_P overflows) and the solve
-        # warm-started at s0.
-        nrm = d.weighted_norm(x)
-        if not (nrm > _ZERO_THRESHOLD):
-            # Origin (or NaN poison from an earlier overflow, which then
-            # propagates through the drift into the step update).
-            u = np.zeros(m)
-            return np.asarray(drift(x), dtype=float) + b.dot(u), x, u, -math.inf
-        if not math.isfinite(nrm):
-            return np.full(n, math.nan), x, np.zeros(m), math.inf
-        s, y = _solve(d, x, s0, math.log(nrm))
-        x_hat = x
-        if quant is None:
-            u = math.exp(s * kappa) * gain.dot(y)
-        else:
-            value, _ = log_quantize(quant, math.exp(s))
-            symbol = (value, *_spherical_cell(d, quant, y))
-            entry = decoded.get(symbol)
-            if entry is None:
-                if len(decoded) >= _DECODED_MAX:
-                    decoded.clear()
-                seed = spherical_quantize(d, quant, y)
-                # The quantized state has homogeneous norm `value` by construction.
-                entry = decoded[symbol] = (value ** kappa * gain.dot(seed),
-                                           d.apply(math.log(value), seed))
-            u, x_hat = entry
+        # -inf at the origin) and the solve warm-started at s0.  The gate
+        # raises on a NaN or infinite x and on a norm past the largest float.
+        root = _solve_nonzero(d, x, s0)
+        s, x_hat, u = -math.inf, x, no_control
+        if root is not None:
+            s, y = root
+            if quant is None:
+                u = math.exp(s * kappa) * gain.dot(y)
+            else:
+                value, _ = log_quantize(quant, math.exp(s))
+                # A value that underflows to 0.0 is the origin, as in hom_quantize.
+                if value > 0.0:
+                    symbol = (value, *_spherical_cell(d, quant, y))
+                    entry = decoded.get(symbol)
+                    if entry is None:
+                        if len(decoded) >= _DECODED_MAX:
+                            decoded.clear()
+                        seed = spherical_quantize(d, quant, y)
+                        # The quantized state has homogeneous norm `value` by construction.
+                        entry = decoded[symbol] = (value ** kappa * gain.dot(seed),
+                                                   _apply_unit(d, math.log(value), seed))
+                    u, x_hat = entry
         return np.asarray(drift(x), dtype=float) + b.dot(u), x_hat, u, s
 
     steps = int(round(t_end / h))
@@ -211,43 +207,38 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     # further on (k2 and k4).  A NaN or infinite guess starts cold.
     guess = math.nan
     s1_last = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            # A finite state can still overflow a derived quantity (the weighted
-            # norm, or a Python float power, which raises); never record a
-            # partially poisoned row.
-            try:
-                bad = not _all_finite(x)
-                if not bad:
-                    k1, x_hat, u, s1 = stage(x, guess)
-                    r = math.exp(s1)
-                    bad = not (math.isfinite(r) and _all_finite(x_hat) and _all_finite(u))
-            except OverflowError:
-                bad = True
-            if bad:
-                partial = Trajectory(times[:k].copy(), states[:k].copy(), qstates[:k].copy(),
-                                     controls[:k].copy(), norms[:k].copy())
-                raise NonFiniteStateError(
-                    f"state became non-finite at t={k * h:.6g}", trajectory=partial
-                )
-            states[k] = x
-            qstates[k] = x_hat
-            controls[k] = u
-            norms[k] = r
-            if k == steps:
-                break
-            if r == 0.0:
-                # Reached the origin: remaining rows stay zero.
-                break
-            ds = 0.0 if s1_last is None else 0.5 * (s1 - s1_last)
-            s1_last = s1
-            try:
+    recorded = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps + 1):
+                # The stage raises on a non-finite state and where its norm, the
+                # control (a Python float power) or the quantized state passes
+                # the largest float; a numpy product can still give an infinite
+                # control.  Never record a partially poisoned row.
+                k1, x_hat, u, s1 = stage(x, guess)
+                r = math.exp(s1)
+                if not (_all_finite(x) and _all_finite(u)):
+                    raise NonFiniteInputError("state or control has a NaN or infinite entry")
+                states[k] = x
+                qstates[k] = x_hat
+                controls[k] = u
+                norms[k] = r
+                recorded = k + 1
+                if k == steps or r == 0.0:
+                    break  # at r == 0 the origin is reached: remaining rows stay zero
+                ds = 0.0 if s1_last is None else 0.5 * (s1 - s1_last)
+                s1_last = s1
                 k2, _, _, s2 = stage(x + half * k1, s1 + ds)
                 k3, _, _, s3 = stage(x + half * k2, s2)
                 k4, _, _, guess = stage(x + h * k3, s3 + ds)
                 x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            except OverflowError:
-                x = np.full(n, math.nan)  # the next row's check raises
+    except (OverflowError, NonFiniteInputError) as exc:
+        partial = Trajectory(times[:recorded].copy(), states[:recorded].copy(),
+                             qstates[:recorded].copy(), controls[:recorded].copy(),
+                             norms[:recorded].copy())
+        raise NonFiniteStateError(
+            f"state became non-finite at t={recorded * h:.6g}", trajectory=partial
+        ) from exc
 
     return Trajectory(times, states, qstates, controls, norms)
 

@@ -452,3 +452,20 @@ def test_batch_quantizers_edge_rows(diag321):
             hom_quantize_many(diag321, p, np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1e150]]))
         with pytest.raises(NotOnSphereError):
             spherical_quantize_many(diag321, p, np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+
+
+def test_underflowed_norm_quantizes_to_the_origin():
+    """A nonzero state whose homogeneous norm underflows to 0.0 (1e-1000
+    under 0.01*I) is the origin for both quantizers, as for hom_norm, with no
+    numpy warning; a normal row beside it keeps its bits."""
+    d = make_dilation(0.01 * np.eye(2))
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2)
+    xs = np.array([[1e-10, 0.0], [1.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hom_norm(d, xs[0]) == 0.0
+        assert np.array_equal(hom_quantize(d, p, xs[0]), np.zeros(2))
+        q = hom_quantize_many(d, p, xs)
+        assert np.array_equal(q[0], np.zeros(2))
+        assert _bits_equal(q[1], hom_quantize(d, p, xs[1]))
+        assert _bits_equal(q[1], hom_quantize_many(d, p, xs[1:])[0])

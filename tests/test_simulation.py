@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,57 @@ def test_huge_state_raises_non_finite_state_error(plant, feedback, quantized):
         simulate(linear, cubic, p, np.array([4e102, 0.0]), 2.0, 4.0)
     partial = info.value.trajectory
     assert len(partial) == 1 and partial.states[0, 0] == 4e102
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
+def test_state_whose_weighted_norm_overflows_is_integrated(plant, feedback, quantized):
+    """|x|_P of (1e160, 0, 0) overflows but |x|_d is 2.2e53: the first row is
+    solved as hom_norm solves it, and the blow-up ends the run one row later."""
+    d = plant.dilation
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3) if quantized else None
+    x0 = np.array([1e160, 0.0, 0.0])
+    with pytest.raises(NonFiniteStateError, match="t=0.001$") as info:
+        simulate(plant, feedback, p, x0, 1e-3, 2e-3)
+    partial = info.value.trajectory
+    assert len(partial) == 1 and np.array_equal(partial.states[0], x0)
+    with np.errstate(over="ignore"):  # numpy's warning on |x0|_P (see the README)
+        assert partial.hom_norms[0] == hom_norm(d, x0)
+        if quantized:
+            assert np.array_equal(partial.quantized_states[0], hom_quantize(d, p, x0))
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
+def test_overflow_in_a_later_stage_ends_the_run_after_its_row(quantized):
+    """A drift that overflows makes the second RK4 stage's input infinite:
+    the run keeps the row of that step and reports the time of the next."""
+    d = make_dilation(np.eye(2))
+    steep = HomPlant(drift=lambda x: 1e150 * x, input_matrix=[[1.0], [0.0]], degree=0.0,
+                     dilation=d)
+    zero = HomFeedback(gain=[[0.0, 0.0]], norm_power=1.0)
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2) if quantized else None
+    with pytest.raises(NonFiniteStateError, match="t=1e[+]160$") as info:
+        simulate(steep, zero, p, np.array([1.0, 0.0]), 1e160, 2e160)
+    partial = info.value.trajectory
+    assert len(partial) == 1 and partial.states[0].tolist() == [1.0, 0.0]
+
+
+def test_underflowed_norm_is_the_origin_in_the_loop():
+    """A state whose homogeneous norm underflows to 0.0 (1e-1000 under 0.01*I)
+    is the origin for the quantized loop as for the nominal one: every later
+    row is zero, with no numpy warning."""
+    d = make_dilation(0.01 * np.eye(2))
+    decay = HomPlant(drift=lambda x: -x, input_matrix=[[1.0], [0.0]], degree=0.0, dilation=d)
+    zero = HomFeedback(gain=[[0.0, 0.0]], norm_power=1.0)
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2)
+    x0 = np.array([1e-10, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nominal = simulate(decay, zero, None, x0, 1e-2, 0.05)
+        quantized = simulate(decay, zero, p, x0, 1e-2, 0.05)
+    assert np.array_equal(nominal.states[0], x0) and not np.any(nominal.states[1:])
+    assert not np.any(nominal.hom_norms)
+    for name in ("states", "quantized_states", "controls", "hom_norms"):
+        assert np.array_equal(getattr(quantized, name), getattr(nominal, name))
 
 
 def test_row_guard_checks_entries_not_their_sum():
