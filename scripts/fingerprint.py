@@ -11,8 +11,10 @@ quantized and nominal, and quantized under the weight ``WEIGHT``, which takes
 the numpy Newton loop instead of the float one.  Four more ``simulate`` runs
 of that config blow up (``BLOWUPS``, quantized and nominal): their CSVs are
 hashed with the exit status, so the partial trajectory of the error exit is
-covered too.  A change meant to keep every result shows the same hashes as
-the commit before it:
+covered too.  So is the error exit of ``seeds``: ``--levels=L..L`` of that
+config at each ``L`` of ``SEED_ERRORS`` leaves the float range, and its exit
+status, its stderr and whether a CSV was written are hashed.  A change meant
+to keep every result shows the same hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -43,6 +45,9 @@ JORDAN = ("generator = 1 1; 0 1\ngain = -1 -1.5\nnu = 0.7\n"
 # and the stock gain with a step of 0.5 (from a row check after 3 rows).
 BLOWUPS = ({"gain": "5.5055 15.8387 16.3807", "step": "0.001", "t_end": "5"},
            {"step": "0.5", "t_end": "20"})
+# Seed levels past the float range: the level's value or a seed overflows
+# (-2000, -700) or underflows to zero (1000, 3000).
+SEED_ERRORS = (-2000, -700, 1000, 3000)
 
 
 def _sha(data: bytes) -> str:
@@ -98,6 +103,15 @@ def fingerprints() -> dict[str, str]:
                 name = " ".join(f"{k}={v}" for k, v in keys.items())
                 name = f"simulate {name} quantized={str(quantized).lower()} (CSV, exit status)"
                 out[name] = _sha(f"exit {status}\n".encode() + Path(csv).read_bytes())
+        for level in SEED_ERRORS:
+            Path(csv).unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main(["seeds", "--config", str(CONFIG), f"--levels={level}..{level}",
+                               "--out", csv])
+            name = f"seeds --levels={level}..{level} (exit status, stderr, CSV written)"
+            out[name] = _sha(f"exit {status}\n{err.getvalue()}csv {os.path.exists(csv)}\n"
+                             .encode())
     return out
 
 

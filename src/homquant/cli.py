@@ -5,7 +5,9 @@ comment.  Matrices separate rows with ``;`` and entries with spaces.  CSV
 output uses a comma separator, ``.`` decimal point and 17 significant digits,
 so emitted files are bit-reproducible and round-trip exactly.
 
-Exit codes: 0 success, 2 numerical blow-up, 3 I/O failure, 4 usage error.
+Exit codes: 0 success, 1 a check suite failed, 2 numerical blow-up (an
+``ArithmeticError``), 3 I/O failure (an ``OSError``), 4 usage error (a
+``ValueError``).  :func:`main` prints each failure as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _FLOAT_KEYS = ("norm_power", "nu", "delta_angle", "step", "t_end")
 _BOOL_KEYS = ("quantized",)
 _ALL_KEYS = _MATRIX_KEYS + _VECTOR_KEYS + _FLOAT_KEYS + _BOOL_KEYS
 _REQUIRED_KEYS = ("generator", "gain", "nu", "delta_angle", "x0")
-_CSV_BLOCK = 64  # trajectory rows formatted per write
+_CSV_BLOCK = 64  # CSV rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,16 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write ``header``, then the rows of the 2-D arrays ``columns`` side by side."""
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        # Formatted from Python floats, a block of rows at a time, so that no
+        # copy of the whole table is held as Python objects.
+        for k in range(0, len(columns[0]), _CSV_BLOCK):
+            block = np.hstack([c[k:k + _CSV_BLOCK] for c in columns]).tolist()
+            fh.write("".join(row.format(*r) for r in block))
 
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
@@ -167,16 +177,8 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
     m = traj.controls.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
               + [f"u{i+1}" for i in range(m)] + ["hnorm"])
-    row = ",".join(["{:.17g}"] * len(header)) + "\n"
-    columns = (traj.times[:, None], traj.states, traj.quantized_states, traj.controls,
-               traj.hom_norms[:, None])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # Formatted from Python floats, a block of rows at a time, so that no
-        # copy of the whole table is held as Python objects.
-        for k in range(0, len(traj), _CSV_BLOCK):
-            block = np.hstack([c[k:k + _CSV_BLOCK] for c in columns]).tolist()
-            fh.write("".join(row.format(*r) for r in block))
+    _write_csv(path, header, (traj.times[:, None], traj.states, traj.quantized_states,
+                              traj.controls, traj.hom_norms[:, None]))
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
@@ -192,18 +194,13 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     fb = HomFeedback(gain=cfg.gain, norm_power=cfg.norm_power)
     quant = QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=3) \
         if cfg.quantized else None
-    status = 0
     try:
         traj = simulate(plant, fb, quant, cfg.x0, cfg.step, cfg.t_end)
     except NonFiniteStateError as exc:
-        traj = exc.trajectory
-        status = 2
-    try:
-        _write_trajectory_csv(out_path, traj)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 3
-    return status
+        _write_trajectory_csv(out_path, exc.trajectory)
+        raise
+    _write_trajectory_csv(out_path, traj)
+    return 0
 
 
 def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> int:
@@ -232,22 +229,12 @@ def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> in
                 seed = np.zeros(n) if value == 0.0 else \
                     _apply_unit(d, math.log(value), unit_from_angles(d, angles))
                 if not seed.any():
-                    print(f"error: the seeds of level {level} underflow to zero", file=sys.stderr)
-                    return 2
-                rows.append((level, idx, seed, hom_norm(d, seed)))
-        except OverflowError:  # nu**level, or NormOverflowError from the rebuild
-            print(f"error: the seeds of level {level} overflow the float range", file=sys.stderr)
-            return 2
+                    raise FloatingPointError(f"the seeds of level {level} underflow to zero")
+                rows.append([level, idx, *seed.tolist(), hom_norm(d, seed)])
+        except OverflowError as exc:  # nu**level, or NormOverflowError from the rebuild
+            raise OverflowError(f"the seeds of level {level} overflow the float range") from exc
     header = ["level", "angle_index"] + [f"x{i+1}" for i in range(n)] + ["hnorm"]
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for level, idx, seed, r in rows:
-                cells = [str(level), str(idx)] + [_fmt(v) for v in seed] + [_fmt(r)]
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 3
+    _write_csv(out_path, header, (np.array(rows),))
     return 0
 
 
@@ -286,7 +273,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -321,22 +308,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
         if args.command == "simulate":
             return cmd_simulate(_load_config(args.config), args.out)
         if args.command == "seeds":
             return cmd_seeds(_load_config(args.config), _parse_levels(args.levels), args.out)
         return cmd_check(args.suite, rng_seed=args.seed, nu=args.nu)
-    except (ConfigParseError, ConfigValidationError, UnknownSuiteError,
-            UnsupportedDimensionError, ValueError) as exc:
+    except (ArithmeticError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ArithmeticError) else 3 if isinstance(exc, OSError) else 4
 
 
 def entrypoint() -> None:

@@ -342,20 +342,25 @@ def projection_index(fd: FundamentalDomain, x) -> int:
     so that ``exp(-k*step*G) x`` lies in the domain: minus the radial cell of
     :func:`~homquant.quantizer.log_quantize` with this ``nu`` and ``rho``."""
     root = _solve_nonzero(fd.dilation, x)
-    if root is None:
+    r = 0.0 if root is None else math.exp(root[0])  # 0.0 also where |x|_d underflows
+    if r == 0.0:
         raise ZeroVectorError("projection index is undefined at the origin")
-    return -_radial_cell(math.exp(-fd.step), fd.rho, math.exp(root[0]))
+    return -_radial_cell(math.exp(-fd.step), fd.rho, r)
 
 
 def tilde_scale(d: Dilation, lam: float, x) -> np.ndarray:
-    """Scalar action: ``sign(lam) * exp(ln|lam| G) x``; ``lam = 0`` gives the origin."""
+    """Scalar action: ``sign(lam) * exp(ln|lam| G) x``; ``lam = 0`` gives the origin.
+    Raises :class:`NormOverflowError` where the result is past the largest float."""
     lam = float(lam)
     x = np.asarray(x, dtype=float)
     if not (math.isfinite(lam) and np.all(np.isfinite(x))):
         raise NonFiniteInputError("scalar or state has a NaN or infinite entry")
     if lam == 0.0:
         return np.zeros(d.dim)
-    scaled = d.apply(math.log(abs(lam)), x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = d.apply(math.log(abs(lam)), x)
+    if not np.all(np.isfinite(scaled)):
+        raise NormOverflowError("the scaled state exceeds the largest float")
     return scaled if lam > 0 else -scaled
 
 

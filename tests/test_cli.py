@@ -26,6 +26,17 @@ x0 = 1 1 1
 """
 
 
+def _error_line(capsys, usage=False):
+    """The one ``error:`` line a failed command prints: nothing on stdout, and
+    nothing else on stderr but argparse's usage lines (``usage=True``)."""
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert out == "" and len(errors) == 1
+    assert usage or lines == errors
+    return errors[0]
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -130,11 +141,12 @@ def test_step_validation():
 
 # --------------------------------------------------------------- simulate cmd
 
-def test_simulate_subcommand_writes_csv(tmp_path):
+def test_simulate_subcommand_writes_csv(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out_path = tmp_path / "traj.csv"
     cfg_path.write_text(MINIMAL + "step = 0.001\nt_end = 0.2\n")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert capsys.readouterr() == ("", "")
     header, rows = _read_csv(out_path)
     assert header == ["t", "x1", "x2", "x3", "q1", "q2", "q3", "u1", "hnorm"]
     assert rows.shape == (201, 9)
@@ -153,25 +165,34 @@ def test_simulate_subcommand_nominal_mirror_columns(tmp_path):
     assert np.array_equal(rows[:, 1:4], rows[:, 4:7])
 
 
-def test_simulate_blowup_exit_code_and_partial_csv(tmp_path):
+def test_simulate_blowup_exit_code_and_partial_csv(tmp_path, capsys):
+    """Exit 2 with one stderr line giving the time of the blow-up, and the
+    finite rows recorded before it in the CSV."""
     cfg_path = tmp_path / "run.cfg"
     out_path = tmp_path / "traj.csv"
-    text = MINIMAL.replace("gain = -5.5055 -15.8387 -16.3807",
-                           "gain = 5.5055 15.8387 16.3807")
-    cfg_path.write_text(text + "step = 0.01\nt_end = 5\nquantized = false\n")
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 2
-    header, rows = _read_csv(out_path)
-    assert 0 < rows.shape[0] < 501
-    assert np.all(np.isfinite(rows))
+    for gain, keys, rows_max in (
+        # The gain of the wrong sign: an RK4 stage blows up.
+        ("5.5055 15.8387 16.3807", "step = 0.01\nt_end = 5\nquantized = false\n", 500),
+        # The stock gain with a step of 0.5: a row check fails after 3 rows.
+        ("-5.5055 -15.8387 -16.3807", "step = 0.5\nt_end = 20\n", 3),
+    ):
+        text = MINIMAL.replace("gain = -5.5055 -15.8387 -16.3807", f"gain = {gain}")
+        cfg_path.write_text(text + keys)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        assert _error_line(capsys).startswith("error: state became non-finite at t=")
+        header, rows = _read_csv(out_path)
+        assert 0 < rows.shape[0] <= rows_max
+        assert np.all(np.isfinite(rows))
 
 
-def test_simulate_requires_3x3_generator(tmp_path):
+def test_simulate_requires_3x3_generator(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
         "generator = 1.5 0.6; 0 1\ngain = -1 -1\nnu = 0.7\n"
         "delta_angle = 0.15707963267948966\nx0 = 1 1\n")
     assert main(["simulate", "--config", str(cfg_path), "--out",
                  str(cfg_path.with_suffix(".csv"))]) == 4
+    assert "3x3 generator" in _error_line(capsys)
 
 
 def test_csv_values_roundtrip_exactly(tmp_path):
@@ -207,18 +228,19 @@ def test_csv_writer_formats_every_value_from_python_floats(tmp_path):
     assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_simulate_overflow_at_first_row_writes_only_the_header(tmp_path):
+def test_simulate_overflow_at_first_row_writes_only_the_header(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out_path = tmp_path / "traj.csv"
     cfg_path.write_text(MINIMAL.replace("x0 = 1 1 1", "x0 = 0 0 1e150")
                         + "step = 0.001\nt_end = 0.01\n")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert _error_line(capsys).startswith("error: state became non-finite at t=0")
     assert out_path.read_text() == "t,x1,x2,x3,q1,q2,q3,u1,hnorm\n"
 
 
 # ------------------------------------------------------------------ seeds cmd
 
-def test_seeds_subcommand_2d(tmp_path):
+def test_seeds_subcommand_2d(tmp_path, capsys):
     cfg_path = tmp_path / "seeds.cfg"
     out_path = tmp_path / "seeds.csv"
     cfg_path.write_text(
@@ -227,6 +249,7 @@ def test_seeds_subcommand_2d(tmp_path):
     # argparse needs the = form when the value starts with a dash.
     assert main(["seeds", "--config", str(cfg_path), "--levels=-1..1",
                  "--out", str(out_path)]) == 0
+    assert capsys.readouterr() == ("", "")
     header, rows = _read_csv(out_path)
     assert header == ["level", "angle_index", "x1", "x2", "hnorm"]
     assert rows.shape == (3 * 40, 5)  # 40 azimuthal cells per level
@@ -261,35 +284,39 @@ def test_seeds_overflow_exits_2_naming_the_level(level, tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["seeds", "--config", str(cfg_path), f"--levels={level}..{level}",
                      "--out", str(out_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and f"level {level}" in err[0]
-    assert ("underflow" if level > 0 else "overflow") in err[0]
+    err = _error_line(capsys)
+    assert f"level {level}" in err
+    assert ("underflow" if level > 0 else "overflow") in err
     assert not out_path.exists()
 
 
-def test_seeds_rejects_unsupported_dimension(tmp_path):
+def test_seeds_rejects_unsupported_dimension(tmp_path, capsys):
     cfg_path = tmp_path / "seeds.cfg"
     cfg_path.write_text(
         "generator = 1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1\n"
         "gain = -1 -1 -1 -1\nnu = 0.7\ndelta_angle = 0.2\nx0 = 1 0 0 0\n")
     assert main(["seeds", "--config", str(cfg_path), "--levels", "0..0",
                  "--out", str(cfg_path.with_suffix(".csv"))]) == 4
+    assert "dimensions 2 and 3" in _error_line(capsys)
 
 
-def test_seeds_rejects_bad_level_syntax(tmp_path):
+def test_seeds_rejects_bad_level_syntax(tmp_path, capsys):
     cfg_path = tmp_path / "seeds.cfg"
     cfg_path.write_text(MINIMAL)
     assert main(["seeds", "--config", str(cfg_path), "--levels", "abc",
                  "--out", str(cfg_path.with_suffix(".csv"))]) == 4
+    assert "LO..HI" in _error_line(capsys)
 
 
 # ------------------------------------------------------------------ check cmd
 
-def test_check_subcommand_passes():
+def test_check_subcommand_passes(capsys):
     """One line per property of the suite, ``PASS name residual bound``, sorted
     by name; ``tests/test_properties.py`` checks each property's bound."""
     stream = io.StringIO()
     assert cmd_check("dilation", stream=stream) == 0
+    assert main(["check", "--suite", "dilation"]) == 0
+    assert capsys.readouterr() == (stream.getvalue(), "")
     lines = stream.getvalue().splitlines()
     names = sorted(p.name for p in PROPERTIES if p.suite == "dilation")
     assert [line.split()[1] for line in lines] == names
@@ -299,10 +326,11 @@ def test_check_subcommand_passes():
         assert f"{float(residual):.6e}" == residual and f"{float(bound):.6e}" == bound
 
 
-def test_check_unknown_suite():
+def test_check_unknown_suite(capsys):
     with pytest.raises(UnknownSuiteError):
         cmd_check("nonsense")
     assert main(["check", "--suite", "nonsense"]) == 4
+    assert "unknown suite 'nonsense'" in _error_line(capsys)
 
 
 def test_check_negative_control_via_nu_override():
@@ -315,30 +343,34 @@ def test_check_negative_control_via_nu_override():
 # ------------------------------------------------------------------ exit codes
 
 def test_usage_errors_exit_4(capsys):
-    assert main([]) == 4
-    assert main(["simulate"]) == 4
-    assert main(["frobnicate"]) == 4
-    capsys.readouterr()
+    """An argparse error prints its usage lines and one ``error:`` line."""
+    for argv in ([], ["simulate"], ["frobnicate"]):
+        assert main(argv) == 4
+        _error_line(capsys, usage=True)
 
 
-def test_missing_config_exits_3(tmp_path):
+def test_missing_config_exits_3(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     assert main(["simulate", "--config", str(missing), "--out",
                  str(tmp_path / "o.csv")]) == 3
+    assert str(missing) in _error_line(capsys)
 
 
-def test_malformed_config_exits_4(tmp_path):
+def test_malformed_config_exits_4(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("generator 3\n")
     assert main(["simulate", "--config", str(cfg_path), "--out",
                  str(tmp_path / "o.csv")]) == 4
+    assert _error_line(capsys) == "error: line 1, column 1: expected 'key = value'"
 
 
-def test_unwritable_output_exits_3(tmp_path):
+def test_unwritable_output_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(MINIMAL + "step = 0.01\nt_end = 0.05\n")
     out_path = tmp_path / "no" / "such" / "dir" / "o.csv"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 3
+    for command in (["simulate"], ["seeds", "--levels", "0..0"]):
+        assert main(command + ["--config", str(cfg_path), "--out", str(out_path)]) == 3
+        assert str(out_path) in _error_line(capsys)
 
 
 # ----------------------------------------------------------- import footprint

@@ -328,12 +328,18 @@ def test_phi_example(diag321):
 
 # ---------------------------------------------------------------- scalar action
 
+@pytest.mark.filterwarnings("error")
 def test_tilde_scale(diag321):
     x = np.array([8.0, 0.0, 0.0])
     # e^(3 ln 2) * 8 = 64 on the weight-3 axis
     assert np.allclose(tilde_scale(diag321, 2.0, x), [64.0, 0.0, 0.0], rtol=1e-12)
     assert np.allclose(tilde_scale(diag321, -2.0, x), [-64.0, 0.0, 0.0], rtol=1e-12)
     assert np.array_equal(tilde_scale(diag321, 0.0, x), np.zeros(3))
+    # Past the largest float: (1e900, 0, 0) and (1e450, 0, 0), with no numpy
+    # warning and no inf or NaN entry.
+    for lam, y in ((1e300, [1.0, 0.0, 0.0]), (1e50, [1e300, 0.0, 0.0])):
+        with pytest.raises(NormOverflowError):
+            tilde_scale(diag321, lam, y)
 
 
 def test_tilde_scale_inverse_element(any_dilation, rng):
@@ -395,6 +401,10 @@ def test_projection_index_rejects_origin(diag321):
     fd = FundamentalDomain(diag321, 1.0)
     with pytest.raises(ZeroVectorError):
         projection_index(fd, np.zeros(3))
+    # |(1e-10, 0)|_d = 1e-1000 under 0.01 I underflows to 0.0: the origin too,
+    # not the cell of the smallest subnormal (index -746; the true one is -2303).
+    with pytest.raises(ZeroVectorError):
+        projection_index(FundamentalDomain(make_dilation(0.01 * np.eye(2)), 1.0), [1e-10, 0.0])
 
 
 @pytest.mark.parametrize("label", sorted(GENERATORS))
