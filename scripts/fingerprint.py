@@ -13,8 +13,12 @@ of that config blow up (``BLOWUPS``, quantized and nominal): their CSVs are
 hashed with the exit status, so the partial trajectory of the error exit is
 covered too.  So is the error exit of ``seeds``: ``--levels=L..L`` of that
 config at each ``L`` of ``SEED_ERRORS`` leaves the float range, and its exit
-status, its stderr and whether a CSV was written are hashed.  A change meant
-to keep every result shows the same hashes as the commit before it:
+status, its stderr and whether a CSV was written are hashed.  Three outputs
+cross the scale where states once counted as the origin (``|x|_P <= 1e-12``):
+the ``seeds`` CSVs of that config at each level of ``SMALL_LEVELS`` and its
+``simulate`` CSVs from ``x0 = SMALL_X0`` at ``t_end = 0.5``, quantized and
+nominal.  A change meant to keep every result shows the same hashes as the
+commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -48,6 +52,10 @@ BLOWUPS = ({"gain": "5.5055 15.8387 16.3807", "step": "0.001", "t_end": "5"},
 # Seed levels past the float range: the level's value or a seed overflows
 # (-2000, -700) or underflows to zero (1000, 3000).
 SEED_ERRORS = (-2000, -700, 1000, 3000)
+# Seed levels whose norms (5.98e-10 and 1.29e-62) lie far below the unit
+# sphere, and a start whose |x|_P is 1e-13 but whose norm is 4.64e-5.
+SMALL_LEVELS = (60, 400)
+SMALL_X0 = "1e-13 0 0"
 
 
 def _sha(data: bytes) -> str:
@@ -112,6 +120,14 @@ def fingerprints() -> dict[str, str]:
             name = f"seeds --levels={level}..{level} (exit status, stderr, CSV written)"
             out[name] = _sha(f"exit {status}\n{err.getvalue()}csv {os.path.exists(csv)}\n"
                              .encode())
+        for level in SMALL_LEVELS:
+            main(["seeds", "--config", str(CONFIG), f"--levels={level}..{level}", "--out", csv])
+            out[f"seeds --levels={level}..{level}"] = _sha(Path(csv).read_bytes())
+        for quantized in (True, False):
+            Path(cfg).write_text(_config(text, quantized, x0=SMALL_X0), encoding="utf-8")
+            main(["simulate", "--config", cfg, "--out", csv])
+            out[f"simulate x0={SMALL_X0} t_end=0.5 quantized={str(quantized).lower()}"] = _sha(
+                Path(csv).read_bytes())
     return out
 
 

@@ -228,9 +228,10 @@ def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> in
             for idx, angles in enumerate(angle_grids):
                 seed = np.zeros(n) if value == 0.0 else \
                     _apply_unit(d, math.log(value), unit_from_angles(d, angles))
-                if not seed.any():
+                r = hom_norm(d, seed)
+                if r == 0.0:  # the seed is the origin
                     raise FloatingPointError(f"the seeds of level {level} underflow to zero")
-                rows.append([level, idx, *seed.tolist(), hom_norm(d, seed)])
+                rows.append([level, idx, *seed.tolist(), r])
         except OverflowError as exc:  # nu**level, or NormOverflowError from the rebuild
             raise OverflowError(f"the seeds of level {level} overflow the float range") from exc
     header = ["level", "angle_index"] + [f"x{i+1}" for i in range(n)] + ["hnorm"]

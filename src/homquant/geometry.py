@@ -35,11 +35,12 @@ _LOG_MAX = math.log(sys.float_info.max)
 # Below this log-size exp(s*G) x cannot overflow; the margin of 100 below
 # _LOG_MAX covers the conditioning of the weight and of the eigenvectors.
 _LOG_SAFE = _LOG_MAX - 100.0
-# Settings of the norm solve: relative tolerance on the unit equation, the
-# iteration budget, and the |x|_P at or below which a state is the origin.
+# Settings of the norm solve: relative tolerance on the unit equation and
+# the iteration budget.
 _REL_TOL = 1e-12
 _MAX_ITER = 200
-_ZERO_THRESHOLD = 1e-12
+# Least |x|_P whose square is a normal float; below it |x|_P is taken on x / max|x_i|.
+_NORM_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -57,27 +58,37 @@ class FundamentalDomain:
             raise ValueError("rho must be finite and positive")
 
 
-def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[float, np.ndarray]:
-    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit vector ``exp(-s*G) x``.
+def _log_floor(d: Dilation) -> float:
+    """Least ``ln|x|_d`` of a state that is not the origin: from it up, ``exp(-s*G)``
+    stays finite across the solve's bracket and ``exp(s)`` is a normal float."""
+    return -_LOG_SAFE / max(d.eta_max, 1.0)
 
-    The caller guarantees ``|x|_P`` is above the zero threshold and passes
-    its logarithm as ``t``.  ``s0`` warm-starts the iteration (a nearby
-    state's root, say); a guess that is not strictly inside the global
-    bracket, NaN or infinite included, is replaced by the bracket midpoint,
-    and the bracket keeps safeguarding every step either way.
+
+def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple | None:
+    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``exp(-s*G) x``; ``None`` at the origin.
+
+    The caller passes a nonzero ``x`` and ``t = log|x|_P``.  ``s0`` warm-starts
+    the iteration (a nearby state's root, say); a guess that is not strictly
+    inside the global bracket, NaN or infinite included, is replaced by the
+    bracket midpoint.  A bracket reaching below :func:`_log_floor` is left to
+    :func:`_solve_many`, which decides the origin there.
     """
     if t >= 0:
         lo, hi = t / d.eta_max, t / d.eta_min
     else:
         lo, hi = t / d.eta_min, t / d.eta_max
+        if lo < _log_floor(d):
+            with np.errstate(**_SCALED_STATE_ERRSTATE):
+                s, y = _solve_many(d, x[:, None], np.array([t]))
+            return None if s[0] == -math.inf else (float(s[0]), y[:, 0])
     s = s0 if s0 is not None and lo < s0 < hi else 0.5 * (lo + hi)
     weight = d.weight
     pg = d._pg
     identity_p = d._p_is_identity
     # Diagonal generator, identity weight: iterate on Python floats, which
     # beats numpy on short vectors.  Every s stays inside [lo, hi], so the
-    # exponents -s*lambda_i stay below 700 and math.exp cannot overflow.
-    scalar = d._mode == "diag" and identity_p and math.isfinite(t) and -lo * d.eta_max < 700.0
+    # exponents -s*lambda_i stay below _LOG_SAFE and math.exp cannot overflow.
+    scalar = d._mode == "diag" and identity_p
     if scalar:
         lam = d._diag.tolist()
         xs = x.tolist()
@@ -127,11 +138,13 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[floa
 
 
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero),
-    given their ``log|x|_P`` as ``t``."""
-    lo = np.where(t >= 0, t / d.eta_max, t / d.eta_min)
+    """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero), given their
+    ``log|x|_P`` as ``t``.  A bracket reaching below :func:`_log_floor` starts there,
+    where a residual below 1 makes the column the origin: its ``s`` is ``-inf``."""
+    floor = _log_floor(d)
+    lo = np.maximum(np.where(t >= 0, t / d.eta_max, t / d.eta_min), floor)
     hi = np.where(t >= 0, t / d.eta_min, t / d.eta_max)
-    s = 0.5 * (lo + hi)
+    s = np.where(lo == floor, floor, 0.5 * (lo + hi))
     weight = d.weight
     pg = d._pg
     tol = 0.5 * _REL_TOL
@@ -139,9 +152,10 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
         y = d.apply_each(-s, cols)
         q = np.einsum("ij,ij->j", y, y if d._p_is_identity else weight @ y)
         g = np.sqrt(q)
-        err = np.abs(g - 1.0)
-        done = err <= tol
+        origin = (g < 1.0) & (s == floor)
+        done = (np.abs(g - 1.0) <= tol) | origin
         if np.all(done):
+            s[origin] = -math.inf
             return s, y
         lo = np.where(g > 1.0, s, lo)
         hi = np.where(g <= 1.0, s, hi)
@@ -157,20 +171,19 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
 
 def _scaled_log_norms(d: Dilation, cols: np.ndarray) -> np.ndarray:
     """``log|x|_P`` of each finite nonzero column ``x`` of ``cols``, computed on
-    ``x / max_i |x_i|`` so that it stays finite where ``|x|_P`` overflows."""
+    ``x / max_i |x_i|`` so that it stays finite where ``|x|_P`` leaves the normal range."""
     c = np.max(np.abs(cols), axis=0)
     return np.log(c) + np.log(d.weighted_norms(cols / c))
 
 
-# Floating-point flags a solve on a state whose |x|_P overflows may raise:
-# exp(-s*G) x over- or underflows at iterates far from the root, which the
-# bracket then corrects.
-_HUGE_STATE_ERRSTATE = dict(over="ignore", under="ignore", divide="ignore", invalid="ignore")
+# Floating-point flags a batch solve, or one on a scaled |x|_P, may raise: exp(-s*G) x
+# or its |.|_P over- or underflows at iterates far from the root; the bracket corrects them.
+_SCALED_STATE_ERRSTATE = dict(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 
 
 def _solve_nonzero(d: Dilation, x, s0: float | None = None) -> tuple[float, np.ndarray] | None:
-    """:func:`_solve` at ``x``, warm-started at ``s0``, or ``None`` if ``|x|_P``
-    is at most the zero threshold.
+    """:func:`_solve` at ``x``, warm-started at ``s0``, or ``None`` at the origin:
+    ``x = 0``, or ``ln|x|_d`` below :func:`_log_floor`.
 
     Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
     and :class:`NormOverflowError` if the homogeneous norm of ``x`` exceeds
@@ -178,16 +191,16 @@ def _solve_nonzero(d: Dilation, x, s0: float | None = None) -> tuple[float, np.n
     """
     x = np.asarray(x, dtype=float)
     nrm = d.weighted_norm(x)
-    if nrm <= _ZERO_THRESHOLD:
-        return None
-    if math.isfinite(nrm):
+    if _NORM_MIN <= nrm < math.inf:
         root = _solve(d, x, s0, math.log(nrm))
     elif not np.all(np.isfinite(x)):
         raise NonFiniteInputError("state has a NaN or infinite entry")
+    elif not x.any():
+        return None
     else:
-        with np.errstate(**_HUGE_STATE_ERRSTATE):
+        with np.errstate(**_SCALED_STATE_ERRSTATE):
             root = _solve(d, x, s0, float(_scaled_log_norms(d, x[:, None])[0]))
-    if root[0] > _LOG_MAX:
+    if root is not None and root[0] > _LOG_MAX:
         raise NormOverflowError("homogeneous norm of the state exceeds the largest float")
     return root
 
@@ -197,28 +210,30 @@ def _solve_many_nonzero(d: Dilation, xs):
     of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects."""
     cols = np.asarray(xs, dtype=float).T
     nrm = d.weighted_norms(cols)
-    # A NaN or infinite |x|_P comes from a NaN or infinite entry or from an
-    # overflow (to inf, or to NaN as inf - inf under a weight).
-    over = ~np.isfinite(nrm)
-    huge = over.any()
-    if huge and not np.all(np.isfinite(cols[:, over])):
+    # |x|_P past the normal range: under it, or NaN or infinite from a NaN or
+    # infinite entry or from an overflow (to inf, or to NaN as inf - inf).
+    odd = ~((nrm >= _NORM_MIN) & (nrm < math.inf))
+    if not np.all(np.isfinite(cols[:, odd])):
         raise NonFiniteInputError("a sample row has a NaN or infinite entry")
-    mask = over | (nrm > _ZERO_THRESHOLD)
+    mask = cols.any(axis=0)
     sel = cols[:, mask]
-    with np.errstate(**(_HUGE_STATE_ERRSTATE if huge else {})):
+    with np.errstate(**_SCALED_STATE_ERRSTATE):
         # The norms of the contiguous copy: their last bits can differ from
         # those of the strided rows.
         t = np.log(d.weighted_norms(sel))
-        if huge:
-            t[over[mask]] = _scaled_log_norms(d, cols[:, over])
+        t[odd[mask]] = _scaled_log_norms(d, cols[:, odd & mask])
         s, y = _solve_many(d, sel, t)
-    if s.size and s.max() > _LOG_MAX:
+    if s.max(initial=0.0) > _LOG_MAX:
         raise NormOverflowError("homogeneous norm of a sample row exceeds the largest float")
+    if s.min(initial=0.0) == -math.inf:
+        keep = s > -math.inf
+        mask[mask] = keep
+        s, y = s[keep], y[:, keep]
     return cols, mask, s, y
 
 
 def hom_norm(d: Dilation, x) -> float:
-    """Canonical homogeneous norm of ``x``; zero below the zero threshold."""
+    """Canonical homogeneous norm of ``x``; 0 where ``x = 0`` or ``ln|x|_d`` is below the floor."""
     root = _solve_nonzero(d, x)
     return 0.0 if root is None else math.exp(root[0])
 
@@ -262,26 +277,27 @@ def _apply_unit(d: Dilation, s: float, u: np.ndarray) -> np.ndarray:
 
 
 def phi_inv(d: Dilation, z) -> np.ndarray:
-    """Inverse straightening map ``z -> exp(ln|z|_P G) z / |z|_P``; raises
-    :class:`NormOverflowError` where the result is past the largest float."""
+    """Inverse straightening map ``z -> exp(ln|z|_P G) z / |z|_P``, zero where ``ln|z|_P = ln|x|_d``
+    is below the floor; raises :class:`NormOverflowError` past the largest float."""
     z = np.asarray(z, dtype=float)
     nrm = d.weighted_norm(z)
-    if nrm <= _ZERO_THRESHOLD:
-        return np.zeros(d.dim)
-    if math.isfinite(nrm):
-        t = math.log(nrm)
-        # |exp(tG) z|_P <= exp(t*eta_max) |z|_P = exp(t*(eta_max + 1)).
-        if t * (d.eta_max + 1.0) <= _LOG_SAFE:
-            return d.apply(t, z) / nrm
-        u = z / nrm
-    elif not np.all(np.isfinite(z)):
-        raise NonFiniteInputError("state has a NaN or infinite entry")
-    else:
+    c = 1.0
+    if not _NORM_MIN <= nrm < math.inf:  # take |z|_P on z / max|z_i|
+        if not np.all(np.isfinite(z)):
+            raise NonFiniteInputError("state has a NaN or infinite entry")
         c = float(np.max(np.abs(z)))
-        w = d.weighted_norm(z / c)
-        t, u = math.log(c) + math.log(w), z / c / w
+        if c == 0.0:
+            return np.zeros(d.dim)
+        z = z / c
+        nrm = d.weighted_norm(z)
+    t = math.log(c) + math.log(nrm)
+    if t < _log_floor(d):
+        return np.zeros(d.dim)
+    # |exp(tG) z|_P <= exp(t*eta_max) |z|_P.
+    if t * d.eta_max + math.log(nrm) <= _LOG_SAFE:
+        return d.apply(t, z) / nrm
     # exp(tG) z, or |z|_P itself, can overflow: exponentiate the unit vector z / |z|_P.
-    return _apply_unit(d, t, u)
+    return _apply_unit(d, t, z / nrm)
 
 
 def phi_many(d: Dilation, xs) -> np.ndarray:
@@ -342,10 +358,9 @@ def projection_index(fd: FundamentalDomain, x) -> int:
     so that ``exp(-k*step*G) x`` lies in the domain: minus the radial cell of
     :func:`~homquant.quantizer.log_quantize` with this ``nu`` and ``rho``."""
     root = _solve_nonzero(fd.dilation, x)
-    r = 0.0 if root is None else math.exp(root[0])  # 0.0 also where |x|_d underflows
-    if r == 0.0:
+    if root is None:
         raise ZeroVectorError("projection index is undefined at the origin")
-    return -_radial_cell(math.exp(-fd.step), fd.rho, r)
+    return -_radial_cell(math.exp(-fd.step), fd.rho, math.exp(root[0]))
 
 
 def tilde_scale(d: Dilation, lam: float, x) -> np.ndarray:

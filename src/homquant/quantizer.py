@@ -204,7 +204,7 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x) -> np.ndarray:
     _check_dim(d, p)
     root = _solve_nonzero(d, x)
     value = 0.0 if root is None else log_quantize(p, math.exp(root[0]))[0]
-    if value == 0.0:  # the origin, or a norm that underflows to 0.0 as in hom_norm
+    if value == 0.0:  # the origin, or a grid value nu**i * xi0 that underflows to 0.0
         return np.zeros(d.dim)
     return _apply_unit(d, math.log(value), spherical_quantize(d, p, root[1]))
 
@@ -215,11 +215,8 @@ def hom_quantize_many(d: Dilation, p: QuantizerParams, xs) -> np.ndarray:
     a row depends on its sample only through its cells, so it has the scalar
     call's bits wherever the rebuild does (diag and expm backends, identity weight)."""
     cols, mask, s, y = _solve_many_nonzero(d, xs)
-    r = np.exp(s)
-    values = np.zeros_like(r)
-    pos = r > 0.0
-    values[pos] = _log_quantize_many(p, r[pos])
-    # A norm or value that underflows to 0.0 is the origin, as in hom_norm.
+    values = _log_quantize_many(p, np.exp(s))
+    # A grid value nu**i * xi0 that underflows to 0.0 is the origin.
     keep = values > 0.0
     mask[mask] = keep
     logs = _by_value(math.log, values[keep])

@@ -116,7 +116,7 @@ def example_plant(dilation: Dilation | None = None) -> HomPlant:
 
 
 def hom_feedback_eval(fb: HomFeedback, d: Dilation, x) -> np.ndarray:
-    """Feedback law evaluated at ``x``; zero below the zero threshold."""
+    """Feedback law evaluated at ``x``; zero where :func:`~homquant.geometry.hom_norm` is 0."""
     root = _solve_nonzero(d, x)
     if root is None:
         return np.zeros(fb.gain.shape[0])
@@ -136,11 +136,11 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     """Integrate the closed loop with fixed-step RK4; ``quant``, if given,
     quantizes the fed-back state under the plant's dilation.
 
-    Records ``round(t_end/h) + 1`` uniformly spaced rows.  If the state
-    reaches the origin, as :func:`~homquant.geometry.hom_norm` decides it,
-    the remaining rows are recorded as zero.  A NaN or infinite value in the
-    state or in any derived quantity aborts with :class:`NonFiniteStateError`
-    carrying the (entirely finite) rows recorded so far.
+    Records ``round(t_end/h) + 1`` uniformly spaced rows.  Once the state is
+    the origin (zero, or ``ln|x|_d`` below the floor of :mod:`~homquant.geometry`),
+    the remaining rows are zero.  A NaN or infinite value in the state or in
+    any derived quantity aborts with :class:`NonFiniteStateError` carrying the
+    (entirely finite) rows recorded so far.
     """
     if quant is not None:
         if not isinstance(quant, QuantizerParams):
@@ -178,7 +178,7 @@ def simulate(plant: HomPlant, fb: HomFeedback,
                 u = math.exp(s * kappa) * gain.dot(y)
             else:
                 value, _ = log_quantize(quant, math.exp(s))
-                # A value that underflows to 0.0 is the origin, as in hom_quantize.
+                # A grid value that underflows to 0.0 is the origin.
                 if value > 0.0:
                     symbol = (value, *_spherical_cell(d, quant, y))
                     entry = decoded.get(symbol)

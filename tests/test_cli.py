@@ -271,12 +271,14 @@ def test_seeds_subcommand_3d_count(tmp_path):
     assert rows.shape[0] == 21 * 40  # polar grid x azimuthal grid
 
 
-@pytest.mark.parametrize("level", [-2000, -700, 1000, 3000])
+@pytest.mark.parametrize("level", [-2000, -700, 571, 1000, 3000])
 def test_seeds_overflow_exits_2_naming_the_level(level, tmp_path, capsys):
     """Seeds outside the float range, in both directions: past the largest
     float, nu**level overflows at -2000 and the rebuild exp(s*G) u at -700;
-    towards zero, nu**level underflows to 0.0 at 3000, and at 1000 some seeds
-    round to the zero vector.  One error line, no numpy warning, no CSV."""
+    towards zero, nu**level underflows to 0.0 at 3000, and at 571 and 1000
+    the seeds' norm nu**level * xi0 is below the floor of diag(3, 2, 1)
+    (5.3e-89), so they are the origin.  One error line, no numpy warning, no
+    CSV."""
     cfg_path = tmp_path / "seeds.cfg"
     out_path = tmp_path / "seeds.csv"
     cfg_path.write_text(MINIMAL)
@@ -288,6 +290,24 @@ def test_seeds_overflow_exits_2_naming_the_level(level, tmp_path, capsys):
     assert f"level {level}" in err
     assert ("underflow" if level > 0 else "overflow") in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("level", [60, 400])
+def test_seeds_far_below_the_unit_sphere_have_their_norm(level, tmp_path, capsys):
+    """Every seed of a level above the floor is written with its homogeneous
+    norm nu**level * xi0 (5.98e-10 at 60, 1.29e-62 at 400), whatever its
+    direction: |x|_P of the seeds on the x1 axis is 2e-28 at 60."""
+    cfg_path = tmp_path / "seeds.cfg"
+    out_path = tmp_path / "seeds.csv"
+    cfg_path.write_text(MINIMAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["seeds", "--config", str(cfg_path), f"--levels={level}..{level}",
+                     "--out", str(out_path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    _, rows = _read_csv(out_path)
+    assert rows.shape == (21 * 40, 6)
+    assert np.allclose(rows[:, 5], 0.7 ** level * (2.0 / 1.7), rtol=1e-12, atol=0.0)
 
 
 def test_seeds_rejects_unsupported_dimension(tmp_path, capsys):

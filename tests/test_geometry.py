@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homquant import (
@@ -35,7 +35,7 @@ from homquant import (
     to_spherical,
 )
 from homquant import geometry
-from homquant.errors import NoConvergenceError
+from homquant.errors import NoConvergenceError, NotMonotoneError
 from homquant.geometry import _radial_cells, _solve
 
 from conftest import GENERATORS
@@ -277,6 +277,124 @@ def test_norm_past_the_largest_float_raises():
             hom_quantize(d321, p, [0.0, 0.0, 1e150])
 
 
+# A nonzero state far below the old origin cut-off |x|_P <= 1e-12, with its
+# exact homogeneous norm, or None where the test checks the defining equation
+# instead.  The last two have ln|x|_d below the floor (their norms are 1e-1000
+# and 1e-1100): they are the origin, decided at one evaluation at the floor.
+_TINY_STATES = {
+    "diag321-1e-13": (GENERATORS["diag321"], None, [1e-13, 0.0, 0.0], 1e-13 ** (1.0 / 3.0)),
+    "diag321-2e-12": (GENERATORS["diag321"], None, [0.0, 0.0, 2e-12], 2e-12),
+    "diag321-1e-200": (GENERATORS["diag321"], None, [1e-200, 0.0, 0.0], 1e-200 ** (1.0 / 3.0)),
+    "diag321-weighted": (GENERATORS["diag321"], WARM_START_DILATIONS["diag321-weighted"][1],
+                         [1e-160, -1e-170, 1e-180], None),
+    "rotate2": (GENERATORS["rotate2"], None, [1e-100, 1e-100], None),
+    "jordan2": (np.array([[1.0, 1.0], [0.0, 1.0]]), None, [0.0, 1e-100], None),
+    "identity-0.01-origin": (0.01 * np.eye(2), None, [1e-10, 0.0], 0.0),
+    "diag-1-0.01-origin": (np.diag([1.0, 0.01]), None, [0.0, 1e-11], 0.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label", sorted(_TINY_STATES))
+def test_norm_of_tiny_state(label):
+    """Tiny states are solved, not thresholded, with no numpy warning and no
+    exhausted iteration budget; the scalar and the batch solve agree."""
+    gen, weight, x, exact = _TINY_STATES[label]
+    d = make_dilation(gen, weight)
+    x = np.array(x)
+    r = hom_norm(d, x)
+    many = hom_norm_many(d, np.array([x, np.ones(d.dim), np.zeros(d.dim)]))
+    assert many[0] == pytest.approx(r, rel=1e-12, abs=0.0)
+    assert many[1] == pytest.approx(hom_norm(d, np.ones(d.dim)), rel=1e-12)
+    assert many[2] == 0.0
+    z = phi(d, x)
+    assert np.allclose(phi_many(d, x[None, :])[0], z, rtol=1e-12, atol=0.0)
+    if exact == 0.0:
+        assert r == 0.0 and not z.any()
+        with pytest.raises(ZeroVectorError):
+            hom_project(d, x)
+        return
+    if exact is not None:
+        assert r == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert d.weighted_norm(d.apply(-math.log(r), x)) == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(hom_project(d, x), z / r, rtol=1e-12, atol=0.0)
+    assert np.allclose(phi_inv(d, z), x, rtol=1e-10, atol=1e-10 * np.max(np.abs(x)))
+
+
+# The float loop, numpy on a weighted diag, the eig and the expm backend, and
+# the generators of the two origin cases, whose eta_min of 0.01 puts |x|_d far
+# below |x|_P, so that their bracket reaches the floor early.  shear2 is
+# left out: with eigenvalues 1.5 and 1, the float vector exp(sG) u loses its
+# fast component past |s| ~ 30, so its norm is no longer e^s (an error of 95
+# near the floor).
+_COVARIANCE_DILATIONS = {
+    **{label: (gen, weight) for label, (gen, weight, _) in WARM_START_DILATIONS.items()},
+    "diag-1-0.01": (np.diag([1.0, 0.01]), None),
+    "identity-0.01": (0.01 * np.eye(2), None),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label", sorted(_COVARIANCE_DILATIONS))
+def test_dilation_covariance_down_to_the_floor(label):
+    """ln hom_norm(exp(sG) u) = s from s = 5 down to one above the floor, in
+    the scalar and the batch solve; across the floor phi sends exp(sG) u, and
+    phi_inv a z with |z|_P = e^s, to the origin exactly when s is below it."""
+    d = make_dilation(*_COVARIANCE_DILATIONS[label])
+    floor = geometry._log_floor(d)
+    u = np.ones(d.dim) / d.weighted_norm(np.ones(d.dim))
+    s = np.linspace(floor + 1.0, 5.0, 100)
+    xs = np.array([d.apply(v, u) for v in s])
+    r = np.array([hom_norm(d, x) for x in xs])
+    assert np.max(np.abs(np.log(r) - s)) <= 1e-12
+    assert np.allclose(hom_norm_many(d, xs), r, rtol=1e-12, atol=0.0)
+    for v in (floor - 0.5, floor + 0.5):
+        assert (not phi(d, d.apply(v, u)).any()) == (v < floor)
+        assert (not phi_inv(d, math.exp(v) * u).any()) == (v < floor)
+
+
+@st.composite
+def monotone_pairs(draw):
+    """A strictly monotone 2-D dilation: generator ``[[a, b], [c, a + e]]``,
+    with ``c`` zero or a perturbation that can sit one step from a Jordan
+    block, and the identity or a random weight.
+
+    A near-defective pair on the eig backend is drawn only with cond(V) < 100:
+    the backend admits cond(V) up to 1e4, but from about 600 on its apply
+    error exceeds the solve's stopping tolerance, and the solve raises
+    NoConvergenceError at |s| >= 13 (so it does at the parent)."""
+    a = draw(st.floats(0.5, 3.0))
+    b = draw(st.floats(-1.0, 1.0))
+    e = draw(st.sampled_from([0.0, 1e-12, -1e-8, 0.3, -0.3]))
+    c = draw(st.sampled_from([0.0, 1e-14, -1e-10, 1e-6, -1e-3, 0.1]))
+    m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))).reshape(2, 2)
+    weight = draw(st.sampled_from([None, m @ m.T + 0.2 * np.eye(2)]))
+    try:
+        d = make_dilation([[a, b], [c, a + e]], weight)
+    except NotMonotoneError:
+        assume(False)
+    assume(d._mode != "eig" or np.linalg.cond(d._evecs) < 100.0)
+    return d
+
+
+# |s| <= 20: past it the float vector exp(sG) u of a non-normal pair no longer
+# has the norm e^s to the registry's 1e-7 (3.8e-6 measured at |s| = 30, as
+# for shear2), and on a weighted expm pair the solve can raise
+# NoConvergenceError (about 1 draw in 20 000 at s = 27 to 30).
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(d=monotone_pairs(), s=st.floats(-20.0, 20.0), angle=st.floats(0.0, 2.0 * math.pi))
+def test_norm_covariance_on_random_monotone_pairs(d, s, angle):
+    """The registry's norm.defining_equation and norm.homogeneity residuals,
+    with their bounds, at exp(sG) u on random pairs, states down to 1e-26."""
+    u = d.from_euclidean(np.array([math.cos(angle), math.sin(angle)]))
+    x = d.apply(s, u)
+    r = hom_norm(d, x)
+    assert abs(d.weighted_norm(d.apply(-math.log(r), x)) - 1.0) <= 1e-12
+    assert abs(r / math.exp(s) - 1.0) <= 1e-7
+    assert hom_norm_many(d, x[None, :])[0] == pytest.approx(r, rel=1e-11, abs=0.0)
+
+
 # ----------------------------------------------------------------- projection
 
 def test_projection_is_unit_and_scale_invariant(any_dilation, rng):
@@ -401,7 +519,7 @@ def test_projection_index_rejects_origin(diag321):
     fd = FundamentalDomain(diag321, 1.0)
     with pytest.raises(ZeroVectorError):
         projection_index(fd, np.zeros(3))
-    # |(1e-10, 0)|_d = 1e-1000 under 0.01 I underflows to 0.0: the origin too,
+    # |(1e-10, 0)|_d = 1e-1000 under 0.01 I is below its floor: the origin too,
     # not the cell of the smallest subnormal (index -746; the true one is -2303).
     with pytest.raises(ZeroVectorError):
         projection_index(FundamentalDomain(make_dilation(0.01 * np.eye(2)), 1.0), [1e-10, 0.0])

@@ -142,7 +142,7 @@ def _cell_inputs(p):
 
 
 @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
-def test_radial_cells_are_the_fundamental_annuli(nu, monkeypatch):
+def test_radial_cells_are_the_fundamental_annuli(nu):
     """The level of log_quantize is minus the projection_index of the same
     norm on the identity dilation of the same group, and the scalar and vector
     cell lookups agree row by row, at every edge and at the float extremes."""
@@ -154,12 +154,11 @@ def test_radial_cells_are_the_fundamental_annuli(nu, monkeypatch):
         assert _edge(p.nu, p.rho, i) <= z < _edge(p.nu, p.rho, i - 1)
     # The group of step -ln(nu) has the ratio exp(ln(nu)), which is one ulp
     # off nu = 0.05; its quantizer is the one whose cells are its annuli.
-    monkeypatch.setattr(geometry, "_ZERO_THRESHOLD", 0.0)
     d = make_dilation(np.eye(1))
     fd = FundamentalDomain(d, p.radial_step, rho=p.rho)
     q = QuantizerParams(nu=math.exp(-fd.step), delta_angle=1.0, dim=1)
-    # The norm solve sees z only where z*z is a normal float.
-    xs = [np.array([z]) for z in _cell_inputs(q) if z >= 1e-150]
+    # Below the floor of the norm solve z is the origin.
+    xs = [np.array([z]) for z in _cell_inputs(q) if z >= math.exp(geometry._log_floor(d))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # |x|^2 overflows past 1e154
         r = np.array([hom_norm(d, x) for x in xs])
@@ -455,7 +454,7 @@ def test_batch_quantizers_edge_rows(diag321):
 
 
 def test_underflowed_norm_quantizes_to_the_origin():
-    """A nonzero state whose homogeneous norm underflows to 0.0 (1e-1000
+    """A nonzero state whose homogeneous norm is below the floor (1e-1000
     under 0.01*I) is the origin for both quantizers, as for hom_norm, with no
     numpy warning; a normal row beside it keeps its bits."""
     d = make_dilation(0.01 * np.eye(2))

@@ -154,18 +154,44 @@ def test_rk4_against_adaptive_reference(plant, feedback):
     assert err <= 1e-6 * np.linalg.norm(ref.y[:, -1])
 
 
+def _pulled_back_residual(d, s, base, scaled):
+    """Worst relative distance of the states of ``scaled``, pulled back by
+    d(-s), from those of ``base``."""
+    back = (d.matrix(-s) @ scaled.states.T).T
+    return np.max(np.linalg.norm(back - base.states, axis=1)
+                  / np.linalg.norm(base.states, axis=1))
+
+
 def test_scaling_symmetry_of_discrete_flow(plant, feedback):
     """Scaling the start by d(s) and the step by exp(-s) reproduces the
-    d(s)-image of the original discrete trajectory almost exactly."""
-    s = math.log(2.0)
+    d(s)-image of the original discrete trajectory almost exactly, also at
+    s = -30 and -60, where |x0|_P is far below 1e-12."""
     x0 = np.array([1.0, 1.0, 1.0])
     base = simulate(plant, feedback, None, x0, 1e-3, 1.0)
-    scaled = simulate(plant, feedback, None, plant.dilation.apply(s, x0),
-                      1e-3 * math.exp(-s), 1.0 * math.exp(-s))
-    mapped = (plant.dilation.matrix(s) @ base.states.T).T
-    denom = np.maximum(np.linalg.norm(mapped, axis=1), 1e-12)
-    rel = np.linalg.norm(scaled.states - mapped, axis=1) / denom
-    assert np.max(rel) <= 1e-9
+    for s in (math.log(2.0), -30.0, -60.0):
+        scaled = simulate(plant, feedback, None, plant.dilation.apply(s, x0),
+                          1e-3 * math.exp(-s), 1.0 * math.exp(-s))
+        mapped = (plant.dilation.matrix(s) @ base.states.T).T
+        denom = np.maximum(np.linalg.norm(mapped, axis=1), 1e-12)
+        rel = np.linalg.norm(scaled.states - mapped, axis=1) / denom
+        assert np.max(rel) <= 1e-9
+        assert _pulled_back_residual(plant.dilation, s, base, scaled) <= 1e-12
+
+
+def test_quantized_flow_has_the_discrete_scaling_symmetry(plant, feedback):
+    """The quantized loop is homogeneous under the discrete group
+    {exp(k ln(1/nu) G)}: started at exp(sG) x0 with s = k ln(1/nu), and with
+    the step scaled by exp(-s), its states pulled back by exp(-sG) are the
+    base run's, down to k = -170 (s = -60.6)."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    x0 = np.array([1.0, 1.0, 1.0])
+    base = simulate(plant, feedback, p, x0, 1e-3, 0.4)
+    for k in (1, -2, -84, -170):
+        s = k * p.radial_step
+        scaled = simulate(plant, feedback, p, plant.dilation.apply(s, x0),
+                          1e-3 * math.exp(-s), 0.4 * math.exp(-s))
+        assert len(scaled) == len(base)
+        assert _pulled_back_residual(plant.dilation, s, base, scaled) <= 1e-12
 
 
 def test_quantized_run_records_quantizer_outputs(plant, feedback):
@@ -305,7 +331,7 @@ def test_overflow_in_a_later_stage_ends_the_run_after_its_row(quantized):
 
 
 def test_underflowed_norm_is_the_origin_in_the_loop():
-    """A state whose homogeneous norm underflows to 0.0 (1e-1000 under 0.01*I)
+    """A state whose homogeneous norm is below the floor (1e-1000 under 0.01*I)
     is the origin for the quantized loop as for the nominal one: every later
     row is zero, with no numpy warning."""
     d = make_dilation(0.01 * np.eye(2))
