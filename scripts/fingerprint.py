@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a sha256 of each reference output of the ``homquant`` CLI.
 
-The outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+The 26 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
 ``configs/example3d.cfg`` and the ``homquant seeds --levels=-3..3`` CSV of the
@@ -17,8 +17,10 @@ status, its stderr and whether a CSV was written are hashed.  Three outputs
 cross the scale where states once counted as the origin (``|x|_P <= 1e-12``):
 the ``seeds`` CSVs of that config at each level of ``SMALL_LEVELS`` and its
 ``simulate`` CSVs from ``x0 = SMALL_X0`` at ``t_end = 0.5``, quantized and
-nominal.  A change meant to keep every result shows the same hashes as the
-commit before it:
+nominal.  The ``seeds`` CSV of that config under ``WEIGHT`` at
+``WEIGHTED_LEVEL`` has a fifth of its norms solved from the bracket's floor
+on the numpy Newton loop.  A change meant to keep every result shows the same
+hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -56,6 +58,8 @@ SEED_ERRORS = (-2000, -700, 1000, 3000)
 # sphere, and a start whose |x|_P is 1e-13 but whose norm is 4.64e-5.
 SMALL_LEVELS = (60, 400)
 SMALL_X0 = "1e-13 0 0"
+# A seed level under WEIGHT whose weighted norms start the solve at the floor.
+WEIGHTED_LEVEL = 550
 
 
 def _sha(data: bytes) -> str:
@@ -128,6 +132,10 @@ def fingerprints() -> dict[str, str]:
             main(["simulate", "--config", cfg, "--out", csv])
             out[f"simulate x0={SMALL_X0} t_end=0.5 quantized={str(quantized).lower()}"] = _sha(
                 Path(csv).read_bytes())
+        Path(cfg).write_text(text + f"weight = {WEIGHT}\n", encoding="utf-8")
+        level = f"--levels={WEIGHTED_LEVEL}..{WEIGHTED_LEVEL}"
+        main(["seeds", "--config", cfg, level, "--out", csv])
+        out[f"seeds {level} weight={WEIGHT}"] = _sha(Path(csv).read_bytes())
     return out
 
 

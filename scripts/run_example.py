@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the benchmark closed loop with and without state quantization.
 
-Runs the built-in three-state plant twice from the same configuration — once
-with exact state feedback and once with the feedback evaluated on the
+Runs the built-in three-state plant under the configuration's generator and
+weight, as ``homquant simulate`` does, twice from the same configuration —
+once with exact state feedback and once with the feedback evaluated on the
 polar-spherical quantization of the state — then prints settling metrics for
 both runs side by side and verifies that every quantized state the loop saw
 lies on the radial grid {nu^i * xi0}.
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from homquant.cli import _write_trajectory_csv, parse_config
+from homquant.dilation import make_dilation
 from homquant.geometry import hom_norm_many
 from homquant.quantizer import QuantizerParams
 from homquant.simulation import HomFeedback, example_plant, settling_metrics, simulate
@@ -27,11 +29,10 @@ DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example3d.cf
 THRESHOLD = 1e-2
 
 
-def run(cfg, quantized: bool):
-    plant = example_plant()
+def run(cfg, plant, quantized: bool):
     fb = HomFeedback(gain=cfg.gain, norm_power=cfg.norm_power)
     quant = QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=3) if quantized else None
-    return plant, simulate(plant, fb, quant, cfg.x0, cfg.step, cfg.t_end)
+    return simulate(plant, fb, quant, cfg.x0, cfg.step, cfg.t_end)
 
 
 def describe(name, traj):
@@ -61,8 +62,9 @@ def main(argv=None):
     print(f"step={cfg.step:g}  t_end={cfg.t_end:g}  nu={cfg.nu:g}  "
           f"delta_angle={cfg.delta_angle:.6f}")
 
-    plant, nominal = run(cfg, quantized=False)
-    _, quantized = run(cfg, quantized=True)
+    plant = example_plant(make_dilation(cfg.generator, cfg.weight))
+    nominal = run(cfg, plant, quantized=False)
+    quantized = run(cfg, plant, quantized=True)
     over_n = describe("nominal", nominal)
     over_q = describe("quantized", quantized)
     print(f"overshoot ratio quantized/nominal = {over_q / over_n:.4f}")

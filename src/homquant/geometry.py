@@ -64,23 +64,20 @@ def _log_floor(d: Dilation) -> float:
     return -_LOG_SAFE / max(d.eta_max, 1.0)
 
 
-def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple | None:
-    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``exp(-s*G) x``; ``None`` at the origin.
+def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[float, np.ndarray]:
+    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``exp(-s*G) x``.
 
-    The caller passes a nonzero ``x`` and ``t = log|x|_P``.  ``s0`` warm-starts
-    the iteration (a nearby state's root, say); a guess that is not strictly
-    inside the global bracket, NaN or infinite included, is replaced by the
-    bracket midpoint.  A bracket reaching below :func:`_log_floor` is left to
-    :func:`_solve_many`, which decides the origin there.
+    Takes the in-range states of :func:`_solve_nonzero`: ``t = log|x|_P`` of a
+    finite ``x`` with ``|x|_P`` in the normal range, and a bracket whose lower
+    end is at or above :func:`_log_floor`.  ``s0`` warm-starts the iteration
+    (a nearby state's root, say); a guess that is not strictly inside the
+    global bracket, NaN or infinite included, is replaced by the bracket
+    midpoint.
     """
     if t >= 0:
         lo, hi = t / d.eta_max, t / d.eta_min
     else:
         lo, hi = t / d.eta_min, t / d.eta_max
-        if lo < _log_floor(d):
-            with np.errstate(**_SCALED_STATE_ERRSTATE):
-                s, y = _solve_many(d, x[:, None], np.array([t]))
-            return None if s[0] == -math.inf else (float(s[0]), y[:, 0])
     s = s0 if s0 is not None and lo < s0 < hi else 0.5 * (lo + hi)
     weight = d.weight
     pg = d._pg
@@ -130,6 +127,10 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple | No
             s_next = math.nan
         if not (lo < s_next < hi):
             s_next = 0.5 * (lo + hi)
+            if not lo < s_next < hi:
+                # No float lies strictly inside the bracket, so s is as near the
+                # root as floats get; apply's roundoff kept |g - 1| above tol.
+                return s, np.array(ys) if scalar else y
         s = s_next
     raise NoConvergenceError(
         f"homogeneous norm solve did not reach rel_tol={_REL_TOL} "
@@ -140,7 +141,8 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple | No
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero), given their
     ``log|x|_P`` as ``t``.  A bracket reaching below :func:`_log_floor` starts there,
-    where a residual below 1 makes the column the origin: its ``s`` is ``-inf``."""
+    where a residual below 1 makes the column the origin: its ``s`` is ``-inf``.
+    A column whose bracket holds no float strictly inside stops at its iterate."""
     floor = _log_floor(d)
     lo = np.maximum(np.where(t >= 0, t / d.eta_max, t / d.eta_min), floor)
     hi = np.where(t >= 0, t / d.eta_min, t / d.eta_max)
@@ -148,12 +150,13 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
     weight = d.weight
     pg = d._pg
     tol = 0.5 * _REL_TOL
+    stuck = False
     for _ in range(_MAX_ITER):
         y = d.apply_each(-s, cols)
         q = np.einsum("ij,ij->j", y, y if d._p_is_identity else weight @ y)
         g = np.sqrt(q)
         origin = (g < 1.0) & (s == floor)
-        done = (np.abs(g - 1.0) <= tol) | origin
+        done = (np.abs(g - 1.0) <= tol) | origin | stuck
         if np.all(done):
             s[origin] = -math.inf
             return s, y
@@ -163,68 +166,63 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
         s_next = s + 0.5 * np.log(q) / slope
         mid = 0.5 * (lo + hi)
         s_next = np.where((lo < s_next) & (s_next < hi), s_next, mid)
-        s = np.where(done, s, s_next)
+        stuck = ~((lo < mid) & (mid < hi))  # as in _solve: s is as near the root as floats get
+        s = np.where(done | stuck, s, s_next)
     raise NoConvergenceError(
         f"vectorized homogeneous norm solve did not converge in {_MAX_ITER} iterations"
     )
-
-
-def _scaled_log_norms(d: Dilation, cols: np.ndarray) -> np.ndarray:
-    """``log|x|_P`` of each finite nonzero column ``x`` of ``cols``, computed on
-    ``x / max_i |x_i|`` so that it stays finite where ``|x|_P`` leaves the normal range."""
-    c = np.max(np.abs(cols), axis=0)
-    return np.log(c) + np.log(d.weighted_norms(cols / c))
-
-
-# Floating-point flags a batch solve, or one on a scaled |x|_P, may raise: exp(-s*G) x
-# or its |.|_P over- or underflows at iterates far from the root; the bracket corrects them.
-_SCALED_STATE_ERRSTATE = dict(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 
 
 def _solve_nonzero(d: Dilation, x, s0: float | None = None) -> tuple[float, np.ndarray] | None:
     """:func:`_solve` at ``x``, warm-started at ``s0``, or ``None`` at the origin:
     ``x = 0``, or ``ln|x|_d`` below :func:`_log_floor`.
 
-    Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
-    and :class:`NormOverflowError` if the homogeneous norm of ``x`` exceeds
-    the largest float.
+    Only an in-range state (``|x|_P`` in the normal range, a bracket above the
+    floor, a root below ``_LOG_MAX``) is taken from :func:`_solve`; every other
+    one is decided by :func:`_solve_many_nonzero` on the one row ``x``, which
+    raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
+    and :class:`NormOverflowError` if its norm exceeds the largest float.
     """
     x = np.asarray(x, dtype=float)
     nrm = d.weighted_norm(x)
     if _NORM_MIN <= nrm < math.inf:
-        root = _solve(d, x, s0, math.log(nrm))
-    elif not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("state has a NaN or infinite entry")
-    elif not x.any():
-        return None
-    else:
-        with np.errstate(**_SCALED_STATE_ERRSTATE):
-            root = _solve(d, x, s0, float(_scaled_log_norms(d, x[:, None])[0]))
-    if root is not None and root[0] > _LOG_MAX:
-        raise NormOverflowError("homogeneous norm of the state exceeds the largest float")
-    return root
+        t = math.log(nrm)
+        if t >= 0 or t / d.eta_min >= _log_floor(d):
+            root = _solve(d, x, s0, t)
+            if root[0] <= _LOG_MAX:
+                return root
+    _, mask, s, y = _solve_many_nonzero(d, x[None])
+    return (float(s[0]), y[:, 0]) if mask[0] else None
 
 
 def _solve_many_nonzero(d: Dilation, xs):
     """Row-batch twin of :func:`_solve_nonzero`: ``(cols, mask, s, y)`` with the rows
-    of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects."""
+    of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects.
+
+    It takes every state: zero rows and rows below the floor leave ``mask``,
+    and ``log|x|_P`` outside the normal range is taken on ``x / max|x_i|``.
+    """
     cols = np.asarray(xs, dtype=float).T
     nrm = d.weighted_norms(cols)
     # |x|_P past the normal range: under it, or NaN or infinite from a NaN or
     # infinite entry or from an overflow (to inf, or to NaN as inf - inf).
     odd = ~((nrm >= _NORM_MIN) & (nrm < math.inf))
     if not np.all(np.isfinite(cols[:, odd])):
-        raise NonFiniteInputError("a sample row has a NaN or infinite entry")
+        raise NonFiniteInputError("state has a NaN or infinite entry")
     mask = cols.any(axis=0)
     sel = cols[:, mask]
-    with np.errstate(**_SCALED_STATE_ERRSTATE):
+    # |x|_P of a scaled state, or exp(-s*G) x and its |.|_P at iterates far
+    # from the root, can over- or underflow; the bracket corrects them.
+    with np.errstate(all="ignore"):
         # The norms of the contiguous copy: their last bits can differ from
         # those of the strided rows.
         t = np.log(d.weighted_norms(sel))
-        t[odd[mask]] = _scaled_log_norms(d, cols[:, odd & mask])
+        scaled = sel[:, odd[mask]]
+        c = np.max(np.abs(scaled), axis=0)
+        t[odd[mask]] = np.log(c) + np.log(d.weighted_norms(scaled / c))
         s, y = _solve_many(d, sel, t)
     if s.max(initial=0.0) > _LOG_MAX:
-        raise NormOverflowError("homogeneous norm of a sample row exceeds the largest float")
+        raise NormOverflowError("homogeneous norm of the state exceeds the largest float")
     if s.min(initial=0.0) == -math.inf:
         keep = s > -math.inf
         mask[mask] = keep

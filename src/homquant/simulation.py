@@ -217,8 +217,8 @@ def simulate(plant: HomPlant, fb: HomFeedback,
                 # control.  Never record a partially poisoned row.
                 k1, x_hat, u, s1 = stage(x, guess)
                 r = math.exp(s1)
-                if not (_all_finite(x) and _all_finite(u)):
-                    raise NonFiniteInputError("state or control has a NaN or infinite entry")
+                if not _all_finite(u):
+                    raise NonFiniteInputError("control has a NaN or infinite entry")
                 states[k] = x
                 qstates[k] = x_hat
                 controls[k] = u

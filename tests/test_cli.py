@@ -1,8 +1,10 @@
 """Config parsing, CSV export, subcommands, and exit codes."""
 
+import importlib.util
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -391,6 +393,27 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     for command in (["simulate"], ["seeds", "--levels", "0..0"]):
         assert main(command + ["--config", str(cfg_path), "--out", str(out_path)]) == 3
         assert str(out_path) in _error_line(capsys)
+
+
+# --------------------------------------------------------- example script
+
+def test_run_example_writes_the_simulate_csvs_under_the_configured_weight(tmp_path):
+    """``scripts/run_example.py`` drives the plant of ``homquant simulate``:
+    under a non-identity weight its two CSVs have the subcommand's bytes."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_example.py"
+    spec = importlib.util.spec_from_file_location("run_example", script)
+    run_example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_example)
+    text = run_example.DEFAULT_CONFIG.read_text() + "weight = 2 0.5 0; 0.5 1 0.2; 0 0.2 1\n"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    run_example.main(["--config", str(cfg_path), "--t-end", "0.05", "--out-dir", str(tmp_path)])
+    for name, quantized in (("nominal", "false"), ("quantized", "true")):
+        cli_text = re.sub(r"(?m)^t_end\s*=.*$", "t_end = 0.05", text)
+        cfg_path.write_text(re.sub(r"(?m)^quantized\s*=.*$", f"quantized = {quantized}", cli_text))
+        out_path = tmp_path / f"{name}-cli.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == out_path.read_bytes()
 
 
 # ----------------------------------------------------------- import footprint
