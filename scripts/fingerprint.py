@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print a sha256 of each reference output of the ``homquant`` CLI.
 
-The 26 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+The 27 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
-``configs/example3d.cfg`` and the ``homquant seeds --levels=-3..3`` CSV of the
+``configs/example3d.cfg``, the ``homquant seeds --levels=-3..3`` CSVs of the
 2-D Jordan config ``JORDAN``, whose dilation takes the scalar Pade kernel, and
+of its eigen-backend twin ``EIG2``, whose norms take the numpy Newton loop, and
 the ``homquant simulate`` CSVs of ``configs/example3d.cfg`` at ``t_end = 0.5``:
 quantized and nominal, and quantized under the weight ``WEIGHT``, which takes
 the numpy Newton loop instead of the float one.  Four more ``simulate`` runs
@@ -46,6 +47,8 @@ CHECK_SEEDS = (0, 1, 2, 3, 42, 7919, 12345)
 WEIGHT = "2 0.5 0; 0.5 1 0.2; 0 0.2 1"
 JORDAN = ("generator = 1 1; 0 1\ngain = -1 -1.5\nnu = 0.7\n"
           "delta_angle = 0.15707963267948966\nx0 = 1 1\n")
+# JORDAN with a diagonalizable generator: its dilation takes the eigen backend.
+EIG2 = JORDAN.replace("generator = 1 1; 0 1", "generator = 2 -1.5; 1 1")
 # Settings under which the benchmark loop blows up: the gain of the wrong sign
 # (the error comes from an RK4 stage after 179 quantized and 157 nominal rows),
 # and the stock gain with a step of 0.5 (from a row check after 3 rows).
@@ -100,6 +103,9 @@ def fingerprints() -> dict[str, str]:
         Path(cfg).write_text(JORDAN, encoding="utf-8")
         main(["seeds", "--config", cfg, "--levels=-3..3", "--out", csv])
         out["seeds --levels=-3..3 jordan2"] = _sha(Path(csv).read_bytes())
+        Path(cfg).write_text(EIG2, encoding="utf-8")
+        main(["seeds", "--config", cfg, "--levels=-3..3", "--out", csv])
+        out["seeds --levels=-3..3 eig2"] = _sha(Path(csv).read_bytes())
         text = CONFIG.read_text(encoding="utf-8")
         for quantized, weight in ((True, None), (False, None), (True, WEIGHT)):
             Path(cfg).write_text(_config(text, quantized, weight), encoding="utf-8")

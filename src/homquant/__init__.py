@@ -24,6 +24,7 @@ from .dilation import (
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
+    DegreeMismatchError,
     DimensionTooSmallError,
     EmptyTrajectoryError,
     HomquantError,

@@ -69,7 +69,6 @@ class Dilation:
     _p_sqrt: np.ndarray = field(repr=False)
     _p_sqrt_inv: np.ndarray = field(repr=False)
     _pg: np.ndarray = field(repr=False)
-    _gnorm: float = field(repr=False)
     _p_is_identity: bool = field(repr=False)
     _pade: np.ndarray | None = field(repr=False)
     _g1norm: float = field(repr=False)
@@ -108,6 +107,41 @@ class Dilation:
             c = self._evecs_inv @ cols
             return (self._evecs @ (np.exp(np.outer(self._evals, svals)) * c)).real
         return (self._expm_many(svals) * cols.T[:, None, :]).sum(axis=2).T
+
+    def unit_residual(self, x: np.ndarray):
+        """The map ``s -> (y, |y|_P**2, y' P G y)``, ``y = exp(-s*G) @ x``: the norm
+        solve's unit equation ``|y|_P = 1`` and its Newton slope, evaluated in one place.
+
+        A diagonal generator under the identity weight runs on Python floats, which
+        beat numpy on short vectors, and gives ``y`` as a list.  ``math.exp`` there
+        raises ``OverflowError`` rather than return inf, so the caller keeps every
+        ``-s*lambda_i`` below ``geometry._LOG_SAFE``.  Other cases call :meth:`apply`."""
+        if self._mode == "diag" and self._p_is_identity:
+            lam, xs = self._diag.tolist(), x.tolist()
+
+            def residual(s):
+                ys = []
+                q = qg = 0.0
+                for li, xi in zip(lam, xs):
+                    yi = math.exp(-s * li) * xi
+                    ys.append(yi)
+                    yy = yi * yi
+                    q += yy
+                    qg += li * yy
+                return ys, q, qg
+            return residual
+
+        def residual(s):
+            y = self.apply(-s, x)
+            q = y.dot(y) if self._p_is_identity else y.dot(self.weight.dot(y))
+            return y, float(q), float(y.dot(self._pg.dot(y)))
+        return residual
+
+    def unit_residual_each(self, svals: np.ndarray, cols: np.ndarray):
+        """Column-batch twin of :meth:`unit_residual` at ``s = svals[j]`` on ``cols[:, j]``."""
+        y = self.apply_each(-svals, cols)
+        q = np.einsum("ij,ij->j", y, y if self._p_is_identity else self.weight @ y)
+        return y, q, np.einsum("ij,ij->j", y, self._pg @ y)
 
     def _expm(self, s: float) -> np.ndarray:
         """``exp(s*G)`` on the expm backend: :meth:`_expm_many` for one ``s``,
@@ -234,7 +268,6 @@ def make_dilation(generator, weight=None) -> Dilation:
     sym_evals = np.linalg.eigvalsh(m + m.T)
     eta_min = float(sym_evals[0]) / 2.0
     eta_max = float(sym_evals[-1]) / 2.0
-    gnorm = float(np.linalg.norm(m, 2))
 
     mode = "expm"
     diag = evals = evecs = evecs_inv = pade = None
@@ -277,7 +310,6 @@ def make_dilation(generator, weight=None) -> Dilation:
         _p_sqrt=_freeze(sq),
         _p_sqrt_inv=_freeze(sq_inv),
         _pg=_freeze(p @ g),
-        _gnorm=gnorm,
         _p_is_identity=bool(np.array_equal(p, np.eye(n))),
         _pade=pade,
         _g1norm=g1norm,

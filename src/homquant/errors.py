@@ -47,6 +47,10 @@ class NormOverflowError(HomquantError, OverflowError):
     """A homogeneous norm, or a state built from one, exceeds the largest float."""
 
 
+class DegreeMismatchError(HomquantError, ValueError):
+    """A feedback's degree does not match the plant's, so the closed loop is not homogeneous."""
+
+
 class NonPositiveFunctionError(HomquantError, ValueError):
     """A function required to be positive on the sample set was not."""
 

@@ -79,40 +79,15 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[floa
     else:
         lo, hi = t / d.eta_min, t / d.eta_max
     s = s0 if s0 is not None and lo < s0 < hi else 0.5 * (lo + hi)
-    weight = d.weight
-    pg = d._pg
-    identity_p = d._p_is_identity
-    # Diagonal generator, identity weight: iterate on Python floats, which
-    # beats numpy on short vectors.  Every s stays inside [lo, hi], so the
-    # exponents -s*lambda_i stay below _LOG_SAFE and math.exp cannot overflow.
-    scalar = d._mode == "diag" and identity_p
-    if scalar:
-        lam = d._diag.tolist()
-        xs = x.tolist()
+    residual = d.unit_residual(x)  # s stays in [lo, hi], so -s*lambda_i < _LOG_SAFE
     # Stop at half the tolerance so the residual recomputed from exp(s) by a
     # caller stays within _REL_TOL despite the extra roundoff.
     tol = 0.5 * _REL_TOL
     for _ in range(_MAX_ITER):
-        if scalar:
-            ys = []
-            q = 0.0
-            qg = 0.0
-            for li, xi in zip(lam, xs):
-                yi = math.exp(-s * li) * xi
-                ys.append(yi)
-                yy = yi * yi
-                q += yy
-                qg += li * yy
-            g = math.sqrt(q)
-            if abs(g - 1.0) <= tol:
-                return s, np.array(ys)
-        else:
-            y = d.apply(-s, x)
-            q = float(y.dot(y)) if identity_p else float(y.dot(weight.dot(y)))
-            g = math.sqrt(q)
-            if abs(g - 1.0) <= tol:
-                return s, y
-            qg = float(y.dot(pg.dot(y)))
+        y, q, qg = residual(s)
+        g = math.sqrt(q)
+        if abs(g - 1.0) <= tol:
+            return s, np.asarray(y)
         if g > 1.0:
             lo = s
         else:
@@ -130,7 +105,7 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[floa
             if not lo < s_next < hi:
                 # No float lies strictly inside the bracket, so s is as near the
                 # root as floats get; apply's roundoff kept |g - 1| above tol.
-                return s, np.array(ys) if scalar else y
+                return s, np.asarray(y)
         s = s_next
     raise NoConvergenceError(
         f"homogeneous norm solve did not reach rel_tol={_REL_TOL} "
@@ -147,13 +122,10 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
     lo = np.maximum(np.where(t >= 0, t / d.eta_max, t / d.eta_min), floor)
     hi = np.where(t >= 0, t / d.eta_min, t / d.eta_max)
     s = np.where(lo == floor, floor, 0.5 * (lo + hi))
-    weight = d.weight
-    pg = d._pg
     tol = 0.5 * _REL_TOL
     stuck = False
     for _ in range(_MAX_ITER):
-        y = d.apply_each(-s, cols)
-        q = np.einsum("ij,ij->j", y, y if d._p_is_identity else weight @ y)
+        y, q, qg = d.unit_residual_each(s, cols)
         g = np.sqrt(q)
         origin = (g < 1.0) & (s == floor)
         done = (np.abs(g - 1.0) <= tol) | origin | stuck
@@ -162,8 +134,7 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
             return s, y
         lo = np.where(g > 1.0, s, lo)
         hi = np.where(g <= 1.0, s, hi)
-        slope = np.einsum("ij,ij->j", y, pg @ y) / q
-        s_next = s + 0.5 * np.log(q) / slope
+        s_next = s + 0.5 * np.log(q) / (qg / q)
         mid = 0.5 * (lo + hi)
         s_next = np.where((lo < s_next) & (s_next < hi), s_next, mid)
         stuck = ~((lo < mid) & (mid < hi))  # as in _solve: s is as near the root as floats get
@@ -390,6 +361,7 @@ def distance_bound_alpha1(d: Dilation, vartheta: float) -> float:
     e_lo, e_hi = d.eta_min, d.eta_max
     grow = ((vartheta + 1.0) ** e_hi - 1.0) / e_hi
     shrink = (1.0 - max(1.0 - vartheta, 0.0) ** e_lo) / e_lo
-    gap = d._gnorm * max(grow, shrink) + 2.0 * vartheta
+    gnorm = float(np.linalg.norm(d.to_euclidean(d.generator) @ d.from_euclidean(np.eye(d.dim)), 2))
+    gap = gnorm * max(grow, shrink) + 2.0 * vartheta
     return max(gap ** (1.0 / e_hi), gap ** (1.0 / e_lo)) ** 2
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
-from .errors import EmptyTrajectoryError, NonFiniteInputError, NonFiniteStateError
+from .errors import DegreeMismatchError, EmptyTrajectoryError, NonFiniteInputError, NonFiniteStateError
 from .geometry import _apply_unit, _solve_nonzero
 from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
                         spherical_quantize)
@@ -136,6 +136,8 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     """Integrate the closed loop with fixed-step RK4; ``quant``, if given,
     quantizes the fed-back state under the plant's dilation.
 
+    A nonzero gain needs ``G B = (norm_power - degree) B``, which makes the closed
+    loop homogeneous; otherwise :class:`DegreeMismatchError` is raised.
     Records ``round(t_end/h) + 1`` uniformly spaced rows.  Once the state is
     the origin (zero, or ``ln|x|_d`` below the floor of :mod:`~homquant.geometry`),
     the remaining rows are zero.  A NaN or infinite value in the state or in
@@ -161,6 +163,11 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     drift = plant.drift
     kappa = fb.norm_power
     gain = fb.gain
+    # The loop is homogeneous iff the gain is zero or G B = (norm_power - degree) B.
+    gb = d.generator @ b
+    if np.any(gain) and np.max(np.abs(gb - (kappa - plant.degree) * b)) > 1e-12 * np.max(np.abs(gb)):
+        raise DegreeMismatchError(f"norm_power {kappa:g} does not match the plant: the closed loop "
+                                  f"is homogeneous only if G B = (norm_power - {plant.degree:g}) B")
     # Quantized feedback, decoded once per symbol (radial value, angle cell)
     # as (u, x_hat).
     decoded: dict[tuple, tuple] = {}

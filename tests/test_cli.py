@@ -187,6 +187,17 @@ def test_simulate_blowup_exit_code_and_partial_csv(tmp_path, capsys):
         assert np.all(np.isfinite(rows))
 
 
+def test_simulate_wrong_norm_power_exits_4(tmp_path, capsys):
+    """A norm_power that breaks the loop's homogeneity is a usage error: exit 4,
+    one line naming norm_power, and no CSV."""
+    cfg_path = tmp_path / "run.cfg"
+    out_path = tmp_path / "traj.csv"
+    cfg_path.write_text(MINIMAL + "norm_power = 3\nt_end = 0.05\nstep = 0.01\n")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 4
+    assert _error_line(capsys).startswith("error: norm_power 3 does not match the plant")
+    assert not out_path.exists()
+
+
 def test_simulate_requires_3x3_generator(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

@@ -1,13 +1,17 @@
 """Dilation construction, group algebra, and growth bounds."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homquant
 from homquant import (
+    Dilation,
     FundamentalDomain,
     NotMonotoneError,
     NotPositiveDefiniteError,
@@ -251,6 +255,60 @@ def test_weighted_norm(rng):
     cols = rng.standard_normal((2, 10))
     expect = [d.weighted_norm(cols[:, j]) for j in range(10)]
     assert np.allclose(d.weighted_norms(cols), expect, rtol=1e-14)
+
+
+# -------------------------------------------------------- unit-sphere residual
+
+# One dilation per evaluation path of unit_residual and the backend it takes:
+# Python floats (diag, identity weight), and numpy on a weighted diag, eig and expm.
+RESIDUAL_CASES = {
+    "diag321": (GENERATORS["diag321"], None, "diag"),
+    "diag321-weighted": (GENERATORS["diag321"], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
+                         "diag"),
+    "rotate2": (GENERATORS["rotate2"], None, "eig"),
+    "jordan3": (np.eye(3) + np.eye(3, k=1), None, "expm"),
+}
+RESIDUAL_S = np.array([-4.0, -0.7, -1e-9, 0.0, 1e-12, 0.4, 2.5, 6.0])
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("label", sorted(RESIDUAL_CASES))
+def test_unit_residual_terms(label, rng):
+    """y = exp(-s*G) x, q = |y|_P**2 and qg = y'PGy, each to 1e-14 relative, and
+    each column of the batch twin equal to the scalar map to the same tolerance."""
+    generator, weight, mode = RESIDUAL_CASES[label]
+    d = make_dilation(generator, weight)
+    assert d._mode == mode
+    pg = d.weight @ d.generator
+    cols = rng.standard_normal((d.dim, RESIDUAL_S.size))
+    y_each, q_each, qg_each = d.unit_residual_each(RESIDUAL_S, cols)
+    for j, s in enumerate(RESIDUAL_S):
+        y, q, qg = d.unit_residual(cols[:, j])(s)
+        assert isinstance(y, list) == (label == "diag321")  # the float path
+        assert _rel(y, d.apply(-s, cols[:, j])) <= 1e-14
+        assert q == pytest.approx(d.weighted_norm(np.asarray(y)) ** 2, rel=1e-14, abs=0)
+        assert qg == pytest.approx(np.asarray(y) @ pg @ np.asarray(y), rel=1e-14, abs=0)
+        assert _rel(y_each[:, j], np.asarray(y)) <= 1e-14
+        assert q_each[j] == pytest.approx(q, rel=1e-14, abs=0)
+        assert qg_each[j] == pytest.approx(qg, rel=1e-14, abs=0)
+
+
+def test_no_other_module_reads_private_dilation_names():
+    """The backend of exp(s*G) is chosen and evaluated in homquant.dilation only:
+    no other module of the package reads a private field or method of Dilation."""
+    private = {name for name in (*Dilation.__dataclass_fields__, *vars(Dilation))
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_mode", "_diag", "_pg", "_p_is_identity", "_expm"} <= private
+    reads = []
+    for path in sorted(Path(homquant.__file__).parent.glob("*.py")):
+        if path.name != "dilation.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []
 
 
 # ----------------------------------------------------------------- gain bounds

@@ -12,6 +12,7 @@ import pytest
 
 import homquant
 from homquant import (
+    DegreeMismatchError,
     EmptyTrajectoryError,
     HomFeedback,
     HomPlant,
@@ -122,6 +123,20 @@ def test_simulate_rejects_quantizer_of_another_dimension(plant, feedback):
     for x0 in ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]):
         with pytest.raises(UnsupportedDimensionError):
             simulate(plant, feedback, p, x0, 1e-3, 1e-2)
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
+def test_simulate_rejects_a_feedback_of_the_wrong_degree(plant, quantized):
+    """The benchmark loop is homogeneous only at norm_power = 3 + 1 = 4, since
+    G B = 3 B and the drift has degree 1; a zero gain fits any norm_power."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3) if quantized else None
+    for kappa in (3.0, 4.0 + 1e-9):
+        with pytest.raises(DegreeMismatchError, match="norm_power"):
+            simulate(plant, HomFeedback(gain=GAIN, norm_power=kappa), p, np.ones(3), 1e-3, 1e-2)
+    zero = HomFeedback(gain=[[0.0, 0.0, 0.0]], norm_power=3.0)
+    assert len(simulate(plant, zero, p, np.ones(3), 1e-3, 1e-2)) == 11
+    assert issubclass(DegreeMismatchError, homquant.HomquantError)
+    assert issubclass(DegreeMismatchError, ValueError)
 
 
 def test_origin_is_equilibrium(plant, feedback):
