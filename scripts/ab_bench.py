@@ -10,8 +10,10 @@ object on the last line of each run.  For each end-to-end metric of
 ``BENCHMARK.json`` it prints every run's value, each tree's median and
 quartiles, and the number of pairs the change won.  A gain holds where at
 least 10 pairs ran, the change won at least 9 in 10 and its median is better
-than the parent's by more than the parent's interquartile range.  Exits 1 if
-any run failed or reported failed operations.
+than the parent's by more than the parent's interquartile range.  Each
+metric also gets a regression verdict against its ``bound`` in
+``BENCHMARK.json`` (see :func:`regression_verdict`).  Exits 1 if any run
+failed or reported failed operations.
 """
 
 import argparse
@@ -41,6 +43,43 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def _quartiles(vals: list[float]) -> list[float]:
+    return statistics.quantiles(vals, n=4, method="inclusive")
+
+
+def _sign(better: str) -> float:
+    return 1.0 if better == "lower" else -1.0
+
+
+def pairs_won(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs ``(parent[i], change[i])`` in which the change is strictly better."""
+    return sum(_sign(better) * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
+    """The change won at least 9 pairs in 10 and its median beats the parent's
+    by more than the parent's interquartile range."""
+    p1, pm, p3 = _quartiles(parent)
+    return (pairs_won(parent, change, better) >= math.ceil(0.9 * len(parent))
+            and _sign(better) * (pm - _quartiles(change)[1]) > p3 - p1)
+
+
+def regression_verdict(parent: list[float], change: list[float], better: str,
+                       bound: float) -> str:
+    """``regressed`` where the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median; ``unresolved`` where the parent's
+    interquartile range is wider than that margin and not every change run beats
+    every parent run; ``within bound`` otherwise."""
+    sign = _sign(better)
+    p1, pm, p3 = _quartiles(parent)
+    margin = bound * abs(pm)
+    if sign * (_quartiles(change)[1] - pm) > margin:
+        return "regressed"
+    if p3 - p1 > margin and not all(sign * (c - p) < 0 for p in parent for c in change):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the tree compared against")
@@ -54,7 +93,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {"parent": [], "change": []}
     ok = True
@@ -70,25 +109,26 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{seconds:g} s runs")
-    for name, unit, better in metrics:
+    for name, unit, better, bound in metrics:
         vals = {side: [r["metrics"].get(name, {}).get("value") for r in runs[side]]
                 for side in runs}
         if any(v is None for side in vals for v in vals[side]):
             print(f"{name}: absent in some run")
             continue
-        sign = 1.0 if better == "lower" else -1.0
-        won = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
-        p1, pm, p3 = statistics.quantiles(vals["parent"], n=4, method="inclusive")
-        c1, cm, c3 = statistics.quantiles(vals["change"], n=4, method="inclusive")
-        gain = won >= math.ceil(0.9 * args.pairs) and sign * (pm - cm) > p3 - p1
+        won = pairs_won(vals["parent"], vals["change"], better)
+        p1, pm, p3 = _quartiles(vals["parent"])
+        c1, cm, c3 = _quartiles(vals["change"])
         verdict = ("needs at least 10 pairs" if args.pairs < 10
-                   else "holds" if gain else "does not hold")
+                   else "holds" if gain_holds(vals["parent"], vals["change"], better)
+                   else "does not hold")
         print(f"{name} [{unit}, {better} is better]")
         for side in ("parent", "change"):
             print(f"  {side:6s} " + " ".join(f"{v:.4g}" for v in vals[side]))
         print(f"  parent median {pm:.4g} (quartiles {p1:.4g}-{p3:.4g}); "
               f"change median {cm:.4g} (quartiles {c1:.4g}-{c3:.4g}); "
-              f"change won {won}/{args.pairs} pairs; gain {verdict}")
+              f"change won {won}/{args.pairs} pairs; gain {verdict}; "
+              f"regression {regression_verdict(vals['parent'], vals['change'], better, bound)} "
+              f"(bound {bound:g} x parent median)")
     if not ok:
         print("some runs failed or reported failed operations")
     return 0 if ok else 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print a sha256 of each reference output of the ``homquant`` CLI.
+"""Print a sha256 of each reference output of the ``homquant`` CLI and library.
 
-The 27 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+The 28 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
 ``configs/example3d.cfg``, the ``homquant seeds --levels=-3..3`` CSVs of the
@@ -20,8 +20,11 @@ the ``seeds`` CSVs of that config at each level of ``SMALL_LEVELS`` and its
 ``simulate`` CSVs from ``x0 = SMALL_X0`` at ``t_end = 0.5``, quantized and
 nominal.  The ``seeds`` CSV of that config under ``WEIGHT`` at
 ``WEIGHTED_LEVEL`` has a fifth of its norms solved from the bracket's floor
-on the numpy Newton loop.  A change meant to keep every result shows the same
-hashes as the commit before it:
+on the numpy Newton loop.  The last output hashes the bytes of the library
+calls ``hom_norm_many`` and ``phi_many`` on a seeded batch of ``BATCH_ROWS``
+rows for each of ``BATCH_DILATIONS``: three full blocks of 8192 columns and a
+one-column tail, which no CLI output spans.  A change meant to keep every
+result shows the same hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -40,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "example3d.cfg"
@@ -63,6 +68,14 @@ SMALL_LEVELS = (60, 400)
 SMALL_X0 = "1e-13 0 0"
 # A seed level under WEIGHT whose weighted norms start the solve at the floor.
 WEIGHTED_LEVEL = 550
+# Rows of the batch that library output hashes, and its dilations: weighted
+# diag(3, 2, 1), an eigen-backend rotation and an expm-backend Jordan block.
+BATCH_ROWS = 3 * 8192 + 1
+BATCH_DILATIONS = {
+    "diag321 weight=" + WEIGHT: ("3 0 0; 0 2 0; 0 0 1", WEIGHT),
+    "rotate2": ("2 -1.5; 1 1", None),
+    "jordan2": ("1 1; 0 1", None),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -74,6 +87,24 @@ def _config(text: str, quantized: bool, weight: str | None = None, **keys: str) 
     for key, value in keys.items():
         text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
     return text if weight is None else text + f"weight = {weight}\n"
+
+
+def _matrix(text: str) -> np.ndarray:
+    return np.array([[float(v) for v in row.split()] for row in text.split(";")])
+
+
+def _batch_bytes() -> bytes:
+    """``hom_norm_many`` and ``phi_many`` of seeded batches, norms spread over six decades."""
+    from homquant import hom_norm_many, make_dilation, phi_many
+
+    data = b""
+    for k, (gen, weight) in enumerate(BATCH_DILATIONS.values()):
+        d = make_dilation(_matrix(gen), None if weight is None else _matrix(weight))
+        rng = np.random.default_rng([28, k])
+        xs = rng.standard_normal((BATCH_ROWS, d.dim)) * np.exp(
+            rng.uniform(-7.0, 7.0, (BATCH_ROWS, 1)))
+        data += hom_norm_many(d, xs).tobytes() + phi_many(d, xs).tobytes()
+    return data
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -142,6 +173,8 @@ def fingerprints() -> dict[str, str]:
         level = f"--levels={WEIGHTED_LEVEL}..{WEIGHTED_LEVEL}"
         main(["seeds", "--config", cfg, level, "--out", csv])
         out[f"seeds {level} weight={WEIGHT}"] = _sha(Path(csv).read_bytes())
+    names = ", ".join(BATCH_DILATIONS)
+    out[f"hom_norm_many, phi_many of {BATCH_ROWS} rows: {names}"] = _sha(_batch_bytes())
     return out
 
 

@@ -24,6 +24,7 @@ from homquant import (
     hom_norm_many,
     hom_project,
     hom_quantize,
+    hom_quantize_many,
     log_quantize,
     make_dilation,
     phi,
@@ -319,6 +320,66 @@ def test_norm_of_tiny_state(label):
     assert d.weighted_norm(d.apply(-math.log(r), x)) == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(hom_project(d, x), z / r, rtol=1e-12, atol=0.0)
     assert np.allclose(phi_inv(d, z), x, rtol=1e-10, atol=1e-10 * np.max(np.abs(x)))
+
+
+# ------------------------------------------------- blocks of the batch solve
+
+# Numpy on a weighted diag, the eig and the expm backend, each with a finite
+# row whose norm passes the largest float, or None where no finite row has
+# one: the eigenvalues of rotate2 have real part 1.5, so its norm grows like
+# |x|**(2/3).  The weight is four times that of WARM_START_DILATIONS, so that
+# (0, 0, 1.5e308) has norm 3e308.
+_BLOCK_DILATIONS = {
+    "diag321-weighted": (GENERATORS["diag321"],
+                         4.0 * np.array(WARM_START_DILATIONS["diag321-weighted"][1]),
+                         [0.0, 0.0, 1.5e308]),
+    "rotate2": (GENERATORS["rotate2"], None, None),
+    "jordan2": (np.array([[1.0, 1.0], [0.0, 1.0]]), None, [0.0, 1e306]),
+}
+
+
+def _edge_rows(d):
+    """The origin, a row below the floor, and a row above it whose |x|_P is
+    below the normal range."""
+    u = np.eye(d.dim)[0] / d.weighted_norm(np.eye(d.dim)[0])
+    floor = geometry._log_floor(d)
+    below, tiny = d.apply(floor - 5.0, u), d.apply(floor + 20.0, u)
+    assert hom_norm(d, below) == 0.0
+    assert hom_norm(d, tiny) > 0.0 and d.weighted_norm(tiny) < geometry._NORM_MIN
+    return np.zeros(d.dim), below, tiny
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [0, 1, 2, 63, 64, 65])
+@pytest.mark.parametrize("label", sorted(_BLOCK_DILATIONS))
+def test_blocks_of_the_batch_solve_are_invisible(label, r, monkeypatch):
+    """Blocks of 64 columns change no bit of any *_many output on 3 * 64 + r
+    rows, nor which rows raise; each edge row and each error row sits in the
+    second block and in the last one, which holds the one-column tail at r = 1, 65."""
+    gen, weight, huge = _BLOCK_DILATIONS[label]
+    d = make_dilation(gen, weight)
+    p = QuantizerParams(nu=0.7, delta_angle=0.157, dim=d.dim)
+    n = 3 * 64 + r
+    rng = np.random.default_rng([17, r])
+    xs = rng.standard_normal((n, d.dim)) * np.exp(rng.uniform(-7.0, 7.0, (n, 1)))
+    calls = (lambda a: hom_norm_many(d, a), lambda a: phi_many(d, a),
+             lambda a: hom_quantize_many(d, p, a))
+    for row in (None, *_edge_rows(d)):
+        if row is not None:
+            xs[64 + 5] = xs[-1] = row
+        monkeypatch.setattr(geometry, "_BLOCK", n)
+        whole = [call(xs).tobytes() for call in calls]
+        monkeypatch.setattr(geometry, "_BLOCK", 64)
+        assert [call(xs).tobytes() for call in calls] == whole
+    for row, error, match in (([math.nan] * d.dim, NonFiniteInputError, "NaN or infinite"),
+                              (huge, NormOverflowError, "exceeds the largest float")):
+        if row is None:
+            continue
+        bad = xs.copy()
+        bad[-1] = row
+        for call in calls:
+            with pytest.raises(error, match=match):
+                call(bad)
 
 
 # The float loop, numpy on a weighted diag, the eig and the expm backend, and
