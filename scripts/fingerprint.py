@@ -29,7 +29,10 @@ result shows the same hashes as the commit before it:
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
 
-Each source tree runs in its own interpreter with it first on ``sys.path``.
+Side by side, each ``check`` output that differs is explained below the hashes:
+every property whose line differs, with each tree's status and residual, and
+the bound.  Each source tree runs in its own interpreter with it first on
+``sys.path``.
 """
 
 import argparse
@@ -116,16 +119,17 @@ def _stdout(argv: list[str]) -> bytes:
     return buf.getvalue().encode()
 
 
-def fingerprints() -> dict[str, str]:
-    """Hashes of every reference output of the ``homquant`` found on ``sys.path``."""
+def fingerprints() -> tuple[dict[str, str], dict[str, str]]:
+    """Hashes of every reference output of the ``homquant`` found on ``sys.path``,
+    and the text of each ``check`` output."""
     from homquant.cli import main
 
-    out = {}
-    for seed in CHECK_SEEDS:
-        out[f"check --suite all --seed {seed}"] = _sha(
-            _stdout(["check", "--suite", "all", "--seed", str(seed)]))
-    argv = ["check", "--suite", "quantizer", "--nu", "0.5", "--seed", "1"]
-    out[" ".join(argv)] = _sha(_stdout(argv))
+    out, checks = {}, {}
+    argvs = [["check", "--suite", "all", "--seed", str(seed)] for seed in CHECK_SEEDS]
+    for argv in [*argvs, ["check", "--suite", "quantizer", "--nu", "0.5", "--seed", "1"]]:
+        name = " ".join(argv)
+        checks[name] = _stdout(argv).decode()
+        out[name] = _sha(checks[name].encode())
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "out.csv")
         main(["seeds", "--config", str(CONFIG), "--levels=-2..2", "--out", csv])
@@ -175,14 +179,30 @@ def fingerprints() -> dict[str, str]:
         out[f"seeds {level} weight={WEIGHT}"] = _sha(Path(csv).read_bytes())
     names = ", ".join(BATCH_DILATIONS)
     out[f"hom_norm_many, phi_many of {BATCH_ROWS} rows: {names}"] = _sha(_batch_bytes())
-    return out
+    return out, checks
 
 
-def _run(src: Path) -> dict[str, str]:
+def _run(src: Path) -> list[dict[str, str]]:
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, __file__, "--emit"], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout)
+
+
+def explain(texts: list[str]) -> list[str]:
+    """One line per property whose ``STATUS name residual bound`` line differs
+    between the ``check`` outputs ``texts``: each tree's status and residual, then
+    the bound (each tree's, where they differ).  A missing property reads ``-``."""
+    tables = [{f[1]: f for f in map(str.split, text.splitlines()) if len(f) == 4}
+              for text in texts]
+    lines = []
+    for prop in dict.fromkeys(p for table in tables for p in table):
+        rows = [table.get(prop, ["-", prop, "-", "-"]) for table in tables]
+        if any(row != rows[0] for row in rows):
+            bounds = dict.fromkeys(row[3] for row in rows)
+            lines.append(f"{prop}  " + "  ".join(f"{row[0]} {row[2]}" for row in rows)
+                         + "  bound " + " / ".join(bounds))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -194,7 +214,7 @@ def main(argv=None) -> int:
     if args.emit:
         print(json.dumps(fingerprints()))
         return 0
-    runs = [_run(src.resolve()) for src in args.src]
+    runs, checks = zip(*(_run(src.resolve()) for src in args.src))
     same = True
     for name in runs[0]:
         hashes = [run.get(name, "-") for run in runs]
@@ -202,6 +222,12 @@ def main(argv=None) -> int:
         print("  ".join(hashes), name)
     if len(runs) > 1:
         print("identical" if same else "DIFFERENT")
+        for name in checks[0]:
+            texts = [check.get(name, "") for check in checks]
+            if len(set(texts)) > 1:
+                print(f"{name}:")
+                for line in explain(texts):
+                    print("  " + line)
     return 0 if same else 1
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteInputError, NotMonotoneError, NotPositiveDefiniteError, NotSymmetricError
+from .errors import (NonFiniteInputError, NormOverflowError, NotMonotoneError,
+                     NotPositiveDefiniteError, NotSymmetricError)
 
 # Absolute floor on smallest eigenvalues in definiteness checks.
 EIG_TOL = 1e-10
@@ -28,7 +29,8 @@ _SYM_REL_TOL = 1e-12
 # Acceptance thresholds for the cached eigendecomposition backend.  The
 # error of V exp(s*Lambda) V^{-1} grows like cond(V): over |s| <= 20 it
 # measured 0.1 to 1 times 1e-16 * cond(V) on near-defective 2x2 and 3x3
-# generators, so a 1e-12 relative error target admits cond(V) <= 1e4.
+# generators, so a 1e-12 relative error target admits cond(V) <= 1e4.  Its
+# real form W (see make_dilation) has cond(W) = cond(V) within a factor sqrt(2).
 _RECON_REL_TOL = 1e-12
 _EIG_COND_MAX = 1e4
 
@@ -50,10 +52,10 @@ class Dilation:
     Immutable after construction; build instances with :func:`make_dilation`.
     Instances compare by identity.  The private fields select one of three
     evaluation routes for ``exp(s*G)``: elementwise exponential for diagonal
-    generators, a frozen eigendecomposition when it reproduces the generator
-    to near machine precision with a well-conditioned eigenvector matrix, and
-    otherwise a scaling-and-squaring Pade kernel that exponentiates a whole
-    vector of parameters at once.
+    generators, a frozen eigendecomposition in real block form when it
+    reproduces the generator to near machine precision with a well-conditioned
+    eigenvector matrix, and otherwise a scaling-and-squaring Pade kernel that
+    exponentiates a whole vector of parameters at once.
     """
 
     generator: np.ndarray
@@ -63,7 +65,7 @@ class Dilation:
     dim: int
     _mode: str = field(repr=False)
     _diag: np.ndarray | None = field(repr=False)
-    _evals: np.ndarray | None = field(repr=False)
+    _units: tuple = field(repr=False)  # (row i, a, b): eigenvalue a (b = 0) or pair a +- ib
     _evecs: np.ndarray | None = field(repr=False)
     _evecs_inv: np.ndarray | None = field(repr=False)
     _p_sqrt: np.ndarray = field(repr=False)
@@ -80,8 +82,7 @@ class Dilation:
         if self._mode == "diag":
             return np.diag(np.exp(s * self._diag))
         if self._mode == "eig":
-            m = (self._evecs * np.exp(s * self._evals)) @ self._evecs_inv
-            return np.ascontiguousarray(m.real)
+            return self._eig(s, np.array(self._evecs_inv), np)
         return self._expm(s)
 
     def apply(self, s: float, x: np.ndarray) -> np.ndarray:
@@ -93,8 +94,11 @@ class Dilation:
         if self._mode == "diag":
             return np.exp(s * self._diag) * x
         if self._mode == "eig":
-            y = self._evecs_inv @ x
-            return ((self._evecs * np.exp(s * self._evals)) @ y).real
+            z = self._evecs_inv @ x
+            try:  # Python floats are faster on one state; math raises where numpy gives inf
+                return self._eig(s, z.tolist(), math)
+            except (OverflowError, ValueError):
+                return self._eig(s, z, np)
         # Elementwise products and sums, not matmul, so that the result has
         # the bits of the matching column of apply_each.
         return (self._expm(s) * x).sum(axis=1)
@@ -104,8 +108,7 @@ class Dilation:
         if self._mode == "diag":
             return np.exp(np.outer(self._diag, svals)) * cols
         if self._mode == "eig":
-            c = self._evecs_inv @ cols
-            return (self._evecs @ (np.exp(np.outer(self._evals, svals)) * c)).real
+            return self._eig(svals, self._evecs_inv @ cols, np)
         return (self._expm_many(svals) * cols.T[:, None, :]).sum(axis=2).T
 
     def unit_residual(self, x: np.ndarray):
@@ -142,6 +145,19 @@ class Dilation:
         y = self.apply_each(-svals, cols)
         q = np.einsum("ij,ij->j", y, y if self._p_is_identity else self.weight @ y)
         return y, q, np.einsum("ij,ij->j", y, self._pg @ y)
+
+    def _eig(self, s, z, xp):
+        """``W exp(s*B) z`` for ``z = W^{-1} x``, on a list with ``xp = math`` or an array
+        with ``xp = np``: per unit, an exp of ``s*a``, and a cos and a sin of ``s*b`` for a pair."""
+        for i, a, b in self._units:
+            e = xp.exp(a * s)
+            if b:
+                bs = b * s
+                c, sn = e * xp.cos(bs), e * xp.sin(bs)
+                z[i], z[i + 1] = c * z[i] + sn * z[i + 1], c * z[i + 1] - sn * z[i]
+            else:
+                z[i] *= e
+        return self._evecs @ z
 
     def _expm(self, s: float) -> np.ndarray:
         """``exp(s*G)`` on the expm backend: :meth:`_expm_many` for one ``s``,
@@ -269,22 +285,26 @@ def make_dilation(generator, weight=None) -> Dilation:
     eta_min = float(sym_evals[0]) / 2.0
     eta_max = float(sym_evals[-1]) / 2.0
 
-    mode = "expm"
-    diag = evals = evecs = evecs_inv = pade = None
+    mode, diag, evecs, evecs_inv, pade, units = "expm", None, None, None, None, ()
     if np.count_nonzero(g - np.diag(np.diagonal(g))) == 0:
         mode = "diag"
         diag = _freeze(np.diagonal(g))
     else:
         try:
+            # Real block form G = W B W^{-1}: a pair a +- ib (b > 0, eigenvector v,
+            # its conjugate next) gives the columns Re v, Im v of W and the block
+            # [[a, b], [-b, a]] of B; a real eigenvalue keeps its eigenvector.
             w, v = np.linalg.eig(g)
-            v_inv = np.linalg.inv(v)
-            recon = (v * w) @ v_inv
+            wr, b = np.array(v.real), np.maximum(w.imag[:-1], 0.0)
+            wr[:, 1:][:, b > 0] = v[:, :-1][:, b > 0].imag
+            wr_inv = np.linalg.inv(wr)
+            recon = wr @ (np.diag(w.real) + np.diag(b, 1) - np.diag(b, -1)) @ wr_inv
             if (np.max(np.abs(recon - g)) <= _RECON_REL_TOL * max(1.0, np.max(np.abs(g)))
-                    and np.linalg.cond(v) <= _EIG_COND_MAX):
+                    and np.linalg.cond(wr) <= _EIG_COND_MAX):
                 mode = "eig"
-                evals = _freeze(w)
-                evecs = _freeze(v)
-                evecs_inv = _freeze(v_inv)
+                units = tuple((i, z.real, z.imag) for i, z in enumerate(w.tolist()) if z.imag >= 0)
+                evecs = _freeze(wr)
+                evecs_inv = _freeze(wr_inv)
         except np.linalg.LinAlgError:
             pass
     g1norm = 0.0
@@ -304,7 +324,7 @@ def make_dilation(generator, weight=None) -> Dilation:
         dim=n,
         _mode=mode,
         _diag=diag,
-        _evals=evals,
+        _units=units,
         _evecs=evecs,
         _evecs_inv=evecs_inv,
         _p_sqrt=_freeze(sq),
@@ -320,10 +340,13 @@ def dilation_norm_bounds(d: Dilation, s: float) -> tuple[float, float]:
     """Lower/upper bounds on the weighted gain of ``exp(s*G)``.
 
     For every ``x``: ``lower * |x|_P <= |exp(s*G) x|_P <= upper * |x|_P``.
+    Raises :class:`NormOverflowError` where ``upper`` exceeds the largest float.
     """
     s = float(s)
     if not math.isfinite(s):
         raise NonFiniteInputError("dilation parameter must be finite")
-    if s >= 0:
-        return math.exp(d.eta_min * s), math.exp(d.eta_max * s)
-    return math.exp(d.eta_max * s), math.exp(d.eta_min * s)
+    try:
+        bounds = math.exp(d.eta_min * s), math.exp(d.eta_max * s)
+    except OverflowError:
+        raise NormOverflowError("the gain bound of exp(s*G) exceeds the largest float") from None
+    return bounds if s >= 0 else bounds[::-1]

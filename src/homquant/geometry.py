@@ -118,13 +118,19 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[floa
 
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero), given their
-    ``log|x|_P`` as ``t``.  A bracket reaching below :func:`_log_floor` starts there,
-    where a residual below 1 makes the column the origin: its ``s`` is ``-inf``.
-    A column whose bracket holds no float strictly inside stops at its iterate."""
+    ``log|x|_P`` as ``t``.  A column starts at ``t / rho``, the Newton step from
+    ``s = 0``, with ``rho = x'PGx / x'Px`` in ``[eta_min, eta_max]``; a start not
+    strictly inside the bracket, NaN included, takes the midpoint.  A bracket
+    reaching below :func:`_log_floor` starts there, where a residual below 1 makes
+    the column the origin: its ``s`` is ``-inf``.  A column whose bracket holds no
+    float strictly inside stops at its iterate."""
     floor = _log_floor(d)
     lo = np.maximum(np.where(t >= 0, t / d.eta_max, t / d.eta_min), floor)
     hi = np.where(t >= 0, t / d.eta_min, t / d.eta_max)
-    s = np.where(lo == floor, floor, 0.5 * (lo + hi))
+    pg = d.weight @ d.generator
+    s0 = t * d.weighted_norms(cols) ** 2 / np.einsum("ij,ij->j", cols, pg @ cols)
+    s = np.where((lo < s0) & (s0 < hi), s0, 0.5 * (lo + hi))
+    s = np.where(lo == floor, floor, s)
     tol = 0.5 * _REL_TOL
     stuck = False
     for _ in range(_MAX_ITER):
@@ -361,15 +367,22 @@ def distance_bound_alpha1(d: Dilation, vartheta: float) -> float:
 
     ``vartheta`` is ``|phi(y) - phi(x)|_P / |phi(x)|_P``.  The bound composes
     the generator gain with the norm-comparison exponents; the decreasing
-    branch saturates once ``vartheta >= 1``.
+    branch saturates once ``vartheta >= 1``.  Raises :class:`NormOverflowError`
+    where the bound exceeds the largest float.
     """
     vartheta = float(vartheta)
     if vartheta < 0:
         raise NegativeInputError("vartheta must be nonnegative")
     e_lo, e_hi = d.eta_min, d.eta_max
-    grow = ((vartheta + 1.0) ** e_hi - 1.0) / e_hi
-    shrink = (1.0 - max(1.0 - vartheta, 0.0) ** e_lo) / e_lo
     gnorm = float(np.linalg.norm(d.to_euclidean(d.generator) @ d.from_euclidean(np.eye(d.dim)), 2))
-    gap = gnorm * max(grow, shrink) + 2.0 * vartheta
-    return max(gap ** (1.0 / e_hi), gap ** (1.0 / e_lo)) ** 2
+    try:
+        grow = ((vartheta + 1.0) ** e_hi - 1.0) / e_hi
+        shrink = (1.0 - max(1.0 - vartheta, 0.0) ** e_lo) / e_lo
+        gap = gnorm * max(grow, shrink) + 2.0 * vartheta
+        bound = max(gap ** (1.0 / e_hi), gap ** (1.0 / e_lo)) ** 2
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise NormOverflowError("the distance bound exceeds the largest float")
+    return bound
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
-from .errors import DegreeMismatchError, EmptyTrajectoryError, NonFiniteInputError, NonFiniteStateError
+from .errors import (DegreeMismatchError, EmptyTrajectoryError, NonFiniteInputError,
+                     NonFiniteStateError, NormOverflowError)
 from .geometry import _apply_unit, _solve_nonzero
 from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
                         spherical_quantize)
@@ -116,12 +117,17 @@ def example_plant(dilation: Dilation | None = None) -> HomPlant:
 
 
 def hom_feedback_eval(fb: HomFeedback, d: Dilation, x) -> np.ndarray:
-    """Feedback law evaluated at ``x``; zero where :func:`~homquant.geometry.hom_norm` is 0."""
+    """Feedback law evaluated at ``x``; zero where :func:`~homquant.geometry.hom_norm` is 0.
+    Raises :class:`NormOverflowError` where the control exceeds the largest float."""
     root = _solve_nonzero(d, x)
     if root is None:
         return np.zeros(fb.gain.shape[0])
     s, y = root
-    return math.exp(s * fb.norm_power) * (fb.gain @ y)
+    try:
+        with np.errstate(over="raise"):
+            return math.exp(s * fb.norm_power) * (fb.gain @ y)
+    except (OverflowError, FloatingPointError):
+        raise NormOverflowError("the feedback exceeds the largest float") from None
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Dilation construction, group algebra, and growth bounds."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import homquant
 from homquant import (
     Dilation,
     FundamentalDomain,
+    NormOverflowError,
     NotMonotoneError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -200,6 +202,40 @@ def _jordan_exp(n):
     return f
 
 
+def _blockdiag(mats):
+    out = np.zeros((sum(map(len, mats)),) * 2)
+    i = 0
+    for m in mats:
+        out[i:i + len(m), i:i + len(m)] = m
+        i += len(m)
+    return out
+
+
+def _block_similar(t, units):
+    """``T B T^{-1}`` and the closed form of its exp(s*G), where ``B`` is block
+    diagonal: a unit ``(a, b)`` is the block [[a, b], [-b, a]], a unit ``(a,)`` the 1x1 [a]."""
+    t = np.array(t)
+    t_inv = np.linalg.inv(t)
+
+    def block(s, a, b=None):
+        if b is None:
+            return [[math.exp(a * s)]]
+        c, sn = math.cos(b * s), math.sin(b * s)
+        return math.exp(a * s) * np.array([[c, sn], [-sn, c]])
+
+    generator = t @ _blockdiag([[[u[0]]] if len(u) == 1 else [[u[0], u[1]], [-u[1], u[0]]]
+                                for u in units]) @ t_inv
+    return generator, lambda s: t @ _blockdiag([block(s, *u) for u in units]) @ t_inv
+
+
+# A complex pair and a real eigenvalue, and two complex pairs, each under a
+# well-conditioned change of basis.
+PAIR_AND_REAL3 = _block_similar([[1.0, 0.25, 0.0], [0.0, 1.0, 0.5], [0.125, 0.0, 1.0]],
+                                [(1.5, 1.25), (2.0,)])
+TWO_PAIRS4 = _block_similar([[1.0, 0.25, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0],
+                             [0.0, 0.0, 1.0, 0.25], [0.125, 0.0, 0.0, 1.0]],
+                            [(1.5, 1.25), (2.0, 0.5)])
+
 # Generator, the backend make_dilation must pick, and the closed form of
 # exp(s*G).  The near-defective pairs have cond(V) of 2e10 and 2e12: their
 # eigendecomposition reconstructs G but loses up to 1e-4 of exp(s*G).
@@ -207,6 +243,8 @@ CLOSED_FORMS = {
     "diag321": (GENERATORS["diag321"], "diag", lambda s: np.diag(np.exp(s * np.array([3.0, 2.0, 1.0])))),
     "rotate2": (GENERATORS["rotate2"], "eig", _rotate2_exp),
     "shear2": (GENERATORS["shear2"], "eig", _upper_triangular_exp(1.5, 1.0, 0.6)),
+    "pair-and-real3": (PAIR_AND_REAL3[0], "eig", PAIR_AND_REAL3[1]),
+    "two-pairs4": (TWO_PAIRS4[0], "eig", TWO_PAIRS4[1]),
     "jordan2": (np.array([[1.0, 1.0], [0.0, 1.0]]), "expm", _jordan_exp(2)),
     "jordan3": (np.eye(3) + np.eye(3, k=1), "expm", _jordan_exp(3)),
     "near-defective-1e-10": (np.array([[1.0, 1.0], [0.0, 1.0 + 1e-10]]), "expm",
@@ -232,6 +270,14 @@ def test_backends_match_closed_forms(label, rng):
         assert np.linalg.norm(d.matrix(s) - m, 1) <= BACKEND_TOL * scale
         for got in (d.apply(s, cols[:, j]), each[:, j]):
             assert np.linalg.norm(got - m @ cols[:, j], 1) <= BACKEND_TOL * scale * np.linalg.norm(cols[:, j], 1)
+
+
+@pytest.mark.parametrize("label", [k for k, v in sorted(CLOSED_FORMS.items()) if v[1] == "eig"])
+def test_eig_backend_holds_no_complex_array(label):
+    """The eigen backend keeps G in real block form: no field holds a complex array."""
+    d = make_dilation(CLOSED_FORMS[label][0])
+    assert d._mode == "eig"
+    assert [f.name for f in dataclasses.fields(d) if np.iscomplexobj(getattr(d, f.name))] == []
 
 
 @pytest.mark.parametrize("label", [k for k, v in sorted(CLOSED_FORMS.items()) if v[1] != "eig"])
@@ -337,6 +383,13 @@ def test_norm_bounds_orientation(diag321):
     lo, hi = dilation_norm_bounds(diag321, -1.0)
     assert (lo, hi) == (pytest.approx(math.exp(-3.0)), pytest.approx(math.exp(-1.0)))
     assert lo <= hi
+
+
+def test_norm_bounds_overflow_raises(diag321):
+    """An upper bound past the largest float raises NormOverflowError, not a bare OverflowError."""
+    with pytest.raises(NormOverflowError):
+        dilation_norm_bounds(diag321, 1000.0)
+    assert dilation_norm_bounds(diag321, -1000.0) == (0.0, 0.0)
 
 
 def test_norm_bounds_rejects_non_finite(diag321):

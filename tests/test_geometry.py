@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homquant import (
+    Dilation,
     FundamentalDomain,
     HomFeedback,
     NegativeInputError,
@@ -173,6 +174,29 @@ def test_solve_warm_start_honours_max_iter(label, monkeypatch):
     for s0 in (s_root + 1e-3, math.nan):
         with pytest.raises(NoConvergenceError):
             _solve(d, x, s0, t)
+
+
+# Ceiling on the Newton evaluations of one block of 8192 columns, per dilation.
+_EVALUATIONS_PER_BLOCK = {"diag321-weighted": 6, "jordan2": 6, "rotate2": 8}
+
+
+@pytest.mark.parametrize("label", sorted(_EVALUATIONS_PER_BLOCK))
+def test_batch_solve_evaluations_per_block(label, monkeypatch):
+    """A block runs until its slowest column converges.  Started at t / rho, the
+    Newton step from s = 0, one block of radii log-uniform in 1e-3..1e3 stays
+    within its ceiling of unit_residual_each calls."""
+    generator, weight, _ = WARM_START_DILATIONS[label]
+    d = make_dilation(generator, weight)
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((d.dim, geometry._BLOCK))
+    rho = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), geometry._BLOCK))
+    xs = d.apply_each(np.log(rho), g / d.weighted_norms(g)).T
+    calls = []
+    evaluate = Dilation.unit_residual_each
+    monkeypatch.setattr(Dilation, "unit_residual_each",
+                        lambda self, s, cols: calls.append(1) or evaluate(self, s, cols))
+    assert np.allclose(hom_norm_many(d, xs), rho, rtol=1e-11, atol=0.0)
+    assert 0 < len(calls) <= _EVALUATIONS_PER_BLOCK[label]
 
 
 # ----------------------------------------------------------- non-finite input
@@ -635,6 +659,12 @@ def test_alpha1_shape(diag321):
     assert all(v > 0 for v in vals[1:])
     with pytest.raises(NegativeInputError):
         distance_bound_alpha1(diag321, -0.1)
+
+
+def test_alpha1_overflow_raises(diag321):
+    """A bound past the largest float raises NormOverflowError, not a bare OverflowError."""
+    with pytest.raises(NormOverflowError):
+        distance_bound_alpha1(diag321, 1e200)
 
 
 def test_alpha1_dominates_sampled_distances(diag321, rng):

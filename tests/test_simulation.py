@@ -17,6 +17,7 @@ from homquant import (
     HomFeedback,
     HomPlant,
     NonFiniteStateError,
+    NormOverflowError,
     QuantizerParams,
     Trajectory,
     UnsupportedDimensionError,
@@ -81,6 +82,12 @@ def test_feedback_homogeneity(plant, feedback, rng):
         u0 = hom_feedback_eval(feedback, d, x)
         u1 = hom_feedback_eval(feedback, d, d.apply(s, x))
         assert np.allclose(u1, math.exp(4.0 * s) * u0, rtol=1e-8)
+
+
+def test_feedback_overflow_raises(plant, feedback):
+    """A control past the largest float raises NormOverflowError: here |x|_d**4 = 1e600."""
+    with pytest.raises(NormOverflowError):
+        hom_feedback_eval(feedback, plant.dilation, [0.0, 0.0, 1e150])
 
 
 def test_feedback_zero_state(plant, feedback):
