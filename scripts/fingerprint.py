@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Print a sha256 of each reference output of the ``homquant`` CLI and library.
 
-The 28 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+The 29 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
 ``configs/example3d.cfg``, the ``homquant seeds --levels=-3..3`` CSVs of the
-2-D Jordan config ``JORDAN``, whose dilation takes the scalar Pade kernel, and
+2-D Jordan config ``JORDAN``, whose dilation takes the expm backend, and
 of its eigen-backend twin ``EIG2``, whose norms take the numpy Newton loop, and
 the ``homquant simulate`` CSVs of ``configs/example3d.cfg`` at ``t_end = 0.5``:
 quantized and nominal, and quantized under the weight ``WEIGHT``, which takes
@@ -23,8 +23,11 @@ nominal.  The ``seeds`` CSV of that config under ``WEIGHT`` at
 on the numpy Newton loop.  The last output hashes the bytes of the library
 calls ``hom_norm_many`` and ``phi_many`` on a seeded batch of ``BATCH_ROWS``
 rows for each of ``BATCH_DILATIONS``: three full blocks of 8192 columns and a
-one-column tail, which no CLI output spans.  A change meant to keep every
-result shows the same hashes as the commit before it:
+one-column tail, which no CLI output spans.  The very last hashes the bytes of
+``Dilation.matrix(s)`` and ``Dilation.apply(s, x)`` on the expm backend, for
+each generator of ``EXPM_GENERATORS`` at each ``s`` of ``EXPM_S``: no other
+output reaches the expm ``matrix``.  A change meant to keep every result shows
+the same hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
     python3 scripts/fingerprint.py src ../before/src  # side by side; exit 1 on any difference
@@ -79,6 +82,12 @@ BATCH_DILATIONS = {
     "rotate2": ("2 -1.5; 1 1", None),
     "jordan2": ("1 1; 0 1", None),
 }
+# Jordan blocks, which take the expm backend, the parameters at which their
+# matrix and apply are hashed (from 0 to 4 squarings, and both signs of s),
+# and the state that apply moves (its first dim entries).
+EXPM_GENERATORS = ("1 1; 0 1", "1 1 0; 0 1 1; 0 0 1")
+EXPM_S = (0.0, 1e-3, -1e-3, 0.7, -0.7, 5.0, -5.0, 12.0, -12.0, 30.0, -30.0)
+EXPM_X = (0.3, -1.7, 2.9)
 
 
 def _sha(data: bytes) -> str:
@@ -107,6 +116,19 @@ def _batch_bytes() -> bytes:
         xs = rng.standard_normal((BATCH_ROWS, d.dim)) * np.exp(
             rng.uniform(-7.0, 7.0, (BATCH_ROWS, 1)))
         data += hom_norm_many(d, xs).tobytes() + phi_many(d, xs).tobytes()
+    return data
+
+
+def _expm_bytes() -> bytes:
+    """``matrix(s)`` and ``apply(s, x)`` of each expm-backend dilation at each ``s``."""
+    from homquant import make_dilation
+
+    data = b""
+    for gen in EXPM_GENERATORS:
+        d = make_dilation(_matrix(gen))
+        x = np.array(EXPM_X[:d.dim])
+        for s in EXPM_S:
+            data += d.matrix(s).tobytes() + d.apply(s, x).tobytes()
     return data
 
 
@@ -179,6 +201,7 @@ def fingerprints() -> tuple[dict[str, str], dict[str, str]]:
         out[f"seeds {level} weight={WEIGHT}"] = _sha(Path(csv).read_bytes())
     names = ", ".join(BATCH_DILATIONS)
     out[f"hom_norm_many, phi_many of {BATCH_ROWS} rows: {names}"] = _sha(_batch_bytes())
+    out[f"expm matrix, apply of {', '.join(EXPM_GENERATORS)}"] = _sha(_expm_bytes())
     return out, checks
 
 
