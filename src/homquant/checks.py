@@ -43,8 +43,8 @@ class SampleSpec:
         lo, hi = self.radius_range
         if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("radius_range must satisfy 0 < lo < hi")
-        if not (0 <= self.boundary_margin):
-            raise ValueError("boundary_margin must be nonnegative")
+        if not (0 <= self.boundary_margin < math.inf):
+            raise ValueError("boundary_margin must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,14 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
                          rng: np.random.Generator) -> np.ndarray:
     """States whose radius and angles stay ``boundary_margin`` away from every
     quantizer cell boundary, and whose direction stays away from the polar
-    degeneracies where trailing angles become ill conditioned."""
+    degeneracies where trailing angles become ill conditioned.  Raises
+    ``ValueError`` where no state can pass: a margin of half a radial or
+    angular cell, or one of 1 or more, whose pole floor excludes every direction."""
     margin = spec.boundary_margin
+    if 2.0 * margin >= min(p.radial_step, p.delta_angle):
+        raise ValueError(f"boundary_margin {margin} leaves no room in a cell of the quantizer")
+    if margin >= 1.0:
+        raise ValueError(f"boundary_margin {margin} excludes every direction")
     pole_floor = math.sqrt(margin) if margin > 0 else 0.0
     a = p.radial_step
     lo, hi = spec.radius_range

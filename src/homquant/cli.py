@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a check suite failed, 2 numerical blow-up (an
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -213,14 +214,11 @@ def cmd_seeds(cfg: RunConfig, level_range: tuple[int, int], out_path: str) -> in
         raise ValueError(f"empty level range {lo}..{hi}")
     d = make_dilation(cfg.generator, cfg.weight)
     p = QuantizerParams(nu=cfg.nu, delta_angle=cfg.delta_angle, dim=n)
-    two_pi = 2.0 * math.pi
-    m_az = max(1, round(two_pi / p.delta_angle))
-    if n == 2:
-        angle_grids = [[j * p.delta_angle] for j in range(m_az)]
-    else:
-        m_pol = round(math.pi / p.delta_angle) + 1
-        angle_grids = [[j1 * p.delta_angle, j2 * p.delta_angle]
-                       for j1 in range(m_pol) for j2 in range(m_az)]
+    # Cells per angle: n - 2 polar angles on [0, pi], then the azimuth on [0, 2*pi).
+    counts = [round(math.pi / p.delta_angle) + 1] * (n - 2)
+    counts.append(max(1, round(2.0 * math.pi / p.delta_angle)))
+    angle_grids = [[j * p.delta_angle for j in idx]
+                   for idx in itertools.product(*map(range, counts))]
     rows = []
     for level in range(lo, hi + 1):
         try:

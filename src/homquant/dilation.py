@@ -83,7 +83,7 @@ class Dilation:
             return np.diag(np.exp(s * self._diag))
         if self._mode == "eig":
             return self._eig(s, np.array(self._evecs_inv), np)
-        return self._expm(s)
+        return self._expm_many([s])[0]
 
     def apply(self, s: float, x: np.ndarray) -> np.ndarray:
         """``exp(s*G) @ x`` without forming the matrix when a fast backend exists.
@@ -99,9 +99,8 @@ class Dilation:
                 return self._eig(s, z.tolist(), math)
             except (OverflowError, ValueError):
                 return self._eig(s, z, np)
-        # Elementwise products and sums, not matmul, so that the result has
-        # the bits of the matching column of apply_each.
-        return (self._expm(s) * x).sum(axis=1)
+        # apply_each's arithmetic on one column, so the result has its bits.
+        return (self._expm_many([s])[0] * x).sum(axis=1)
 
     def apply_each(self, svals: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Column ``j`` of the result is ``exp(svals[j]*G) @ cols[:, j]``."""
@@ -158,24 +157,6 @@ class Dilation:
             else:
                 z[i] *= e
         return self._evecs @ z
-
-    def _expm(self, s: float) -> np.ndarray:
-        """``exp(s*G)`` on the expm backend: :meth:`_expm_many` for one ``s``,
-        step for step on 2-D arrays and Python floats, and with its bits."""
-        frac, expo = math.frexp(abs(s) * (self._g1norm / _THETA13))
-        k = max(expo if frac > 0.5 else expo - 1, 0)
-        c = math.ldexp(s * self._g1norm, -k)
-        c2 = c * c
-        w = [1.0, c]
-        for i in range(2, 14):
-            w.append(w[i - 2] * c2)
-        terms = np.array(w)[:, None, None] * self._pade
-        u = terms[1::2].sum(axis=0)
-        v = terms[0::2].sum(axis=0)
-        r = np.linalg.solve(v - u, v + u)
-        for _ in range(k):
-            r = r @ r
-        return r
 
     def _expm_many(self, svals) -> np.ndarray:
         """``exp(s_j*G)`` for every entry of ``svals``, stacked as ``(m, n, n)``.

@@ -368,9 +368,12 @@ def distance_bound_alpha1(d: Dilation, vartheta: float) -> float:
     ``vartheta`` is ``|phi(y) - phi(x)|_P / |phi(x)|_P``.  The bound composes
     the generator gain with the norm-comparison exponents; the decreasing
     branch saturates once ``vartheta >= 1``.  Raises :class:`NormOverflowError`
-    where the bound exceeds the largest float.
+    where the bound exceeds the largest float, and :class:`NonFiniteInputError`
+    on a NaN or infinite ``vartheta``.
     """
     vartheta = float(vartheta)
+    if not math.isfinite(vartheta):
+        raise NonFiniteInputError(f"vartheta must be finite, got {vartheta!r}")
     if vartheta < 0:
         raise NegativeInputError("vartheta must be nonnegative")
     e_lo, e_hi = d.eta_min, d.eta_max

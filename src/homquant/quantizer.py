@@ -15,6 +15,7 @@ commutes with dilations whose parameter is an integer multiple of ``-ln(nu)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,9 @@ class QuantizerParams:
     ``nu`` is the radial contraction ratio, ``delta_angle`` the angular grid
     pitch, ``dim`` the state dimension and ``xi0`` the radial anchor.  The
     default anchor ``2/(1+nu)`` aligns the level-0 radial cell with the
-    annulus ``[1, 1/nu)``.
+    annulus ``[1, 1/nu)``.  An anchor must be finite, with a normal float
+    ``rho``: the radial cell search needs edges that reach 0 and inf, and a
+    subnormal ``rho`` loses the sector bound ``|q(z) - z| <= delta*z``.
     """
 
     nu: float
@@ -54,8 +57,10 @@ class QuantizerParams:
             raise ValueError("dim must be a positive integer")
         if self.xi0 is None:
             object.__setattr__(self, "xi0", 2.0 / (1.0 + self.nu))
-        elif not (self.xi0 > 0):
-            raise ValueError(f"xi0 must be positive, got {self.xi0}")
+        elif not (0.0 < self.xi0 < math.inf):
+            raise ValueError(f"xi0 must be positive and finite, got {self.xi0}")
+        if not self.rho >= sys.float_info.min:
+            raise ValueError(f"xi0 = {self.xi0} puts rho = {self.rho} below the normal floats")
 
     @property
     def delta(self) -> float:
@@ -233,6 +238,8 @@ def hom_quantize_many(d: Dilation, p: QuantizerParams, xs) -> np.ndarray:
 
 def angular_error_bound(delta_angle: float, dim: int) -> float:
     """Worst-case weighted distance moved by the spherical quantizer."""
+    if not math.isfinite(delta_angle):
+        raise NonFiniteInputError(f"delta_angle must be finite, got {delta_angle!r}")
     if delta_angle < 0:
         raise NegativeInputError("delta_angle must be nonnegative")
     if dim < 2:

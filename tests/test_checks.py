@@ -36,6 +36,8 @@ def test_sample_spec_validation():
         SampleSpec(radius_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         SampleSpec(boundary_margin=-1e-3)
+    with pytest.raises(ValueError):
+        SampleSpec(boundary_margin=math.inf)
 
 
 def test_sector_spec_validation():
@@ -104,6 +106,16 @@ def test_discrete_homogeneity_residual_small():
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=2)
     res = check_quantizer_discrete_homogeneity(d, p, SampleSpec(count=100, seed=6))
     assert res <= 1e-7
+
+
+@pytest.mark.parametrize("nu, delta_angle, margin", [
+    (0.7, math.pi / 20, 0.2),  # twice the margin exceeds both cells
+    (0.1, math.pi, 1.0),  # the cells fit, but the pole floor sqrt(margin) excludes every direction
+])
+def test_discrete_homogeneity_rejects_a_margin_no_state_passes(diag321, nu, delta_angle, margin):
+    p = QuantizerParams(nu=nu, delta_angle=delta_angle, dim=3)
+    with pytest.raises(ValueError, match="boundary_margin"):
+        check_quantizer_discrete_homogeneity(diag321, p, SampleSpec(count=10, boundary_margin=margin))
 
 
 def test_discrete_homogeneity_negative_control(diag321):

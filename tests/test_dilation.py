@@ -347,7 +347,7 @@ def test_no_other_module_reads_private_dilation_names():
     no other module of the package reads a private field or method of Dilation."""
     private = {name for name in (*Dilation.__dataclass_fields__, *vars(Dilation))
                if name.startswith("_") and not name.startswith("__")}
-    assert {"_mode", "_diag", "_pg", "_p_is_identity", "_expm"} <= private
+    assert {"_mode", "_diag", "_pg", "_p_is_identity", "_expm_many"} <= private
     reads = []
     for path in sorted(Path(homquant.__file__).parent.glob("*.py")):
         if path.name != "dilation.py":

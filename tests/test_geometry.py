@@ -18,6 +18,7 @@ from homquant import (
     QuantizerParams,
     SampleSpec,
     ZeroVectorError,
+    angular_error_bound,
     dilation_norm_bounds,
     distance_bound_alpha1,
     hom_feedback_eval,
@@ -224,6 +225,10 @@ NON_FINITE_CALLS = {
     "tilde_scale-scalar": lambda d: tilde_scale(d, math.nan, [1.0, 0.0, 0.0]),
     "matrix": lambda d: d.matrix(math.nan),
     "dilation_norm_bounds": lambda d: dilation_norm_bounds(d, math.inf),
+    "distance_bound_alpha1-nan": lambda d: distance_bound_alpha1(d, math.nan),
+    "distance_bound_alpha1-inf": lambda d: distance_bound_alpha1(d, math.inf),
+    "angular_error_bound-nan": lambda d: angular_error_bound(math.nan, 3),
+    "angular_error_bound-inf": lambda d: angular_error_bound(math.inf, 3),
 }
 
 

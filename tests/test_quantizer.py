@@ -69,6 +69,8 @@ def test_params_custom_anchor():
     dict(nu=0.5, delta_angle=4.0, dim=2),
     dict(nu=0.5, delta_angle=1.0, dim=0),
     dict(nu=0.5, delta_angle=1.0, dim=2, xi0=-1.0),
+    dict(nu=0.5, delta_angle=0.3, dim=3, xi0=math.inf),  # the cell search never ends
+    dict(nu=0.5, delta_angle=0.3, dim=3, xi0=5e-324),  # subnormal rho breaks the sector bound
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
