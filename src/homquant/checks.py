@@ -21,6 +21,11 @@ from .quantizer import QuantizerParams, hom_quantize_many, to_spherical
 
 _RESIDUAL_FLOOR = 1e-12
 _FIELD_SHIFTS = (-2.0, -1.0, 1.0, 2.0)
+# Draws the boundary-margin sampler may take: this many per requested state,
+# and at least _MIN_DRAWS.  Beyond them the admissible share of the cells is
+# too small to sample, and it raises.
+_DRAWS_PER_STATE = 100
+_MIN_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,8 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
     quantizer cell boundary, and whose direction stays away from the polar
     degeneracies where trailing angles become ill conditioned.  Raises
     ``ValueError`` where no state can pass: a margin of half a radial or
-    angular cell, or one of 1 or more, whose pole floor excludes every direction."""
+    angular cell, or one of 1 or more, whose pole floor excludes every direction, and
+    where ``max(100 * count, 10_000)`` draws did not give ``count`` states."""
     margin = spec.boundary_margin
     if 2.0 * margin >= min(p.radial_step, p.delta_angle):
         raise ValueError(f"boundary_margin {margin} leaves no room in a cell of the quantizer")
@@ -119,8 +125,13 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
     cell_anchor = math.log(p.rho)
     out = []
     needed = spec.count
+    drawn, limit = 0, max(_DRAWS_PER_STATE * spec.count, _MIN_DRAWS)
     while needed > 0:
+        if drawn >= limit:
+            raise ValueError(f"boundary_margin {margin} let {spec.count - needed} of {spec.count} "
+                             f"states pass in {drawn} draws")
         batch = max(needed * 2, 64)
+        drawn += batch
         u = sample_directions(d, rng, batch)
         r = np.exp(rng.uniform(math.log(lo), math.log(hi), batch))
         frac = ((np.log(r) - cell_anchor) / a) % 1.0

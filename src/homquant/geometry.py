@@ -67,20 +67,26 @@ def _log_floor(d: Dilation) -> float:
     return -_LOG_SAFE / max(d.eta_max, 1.0)
 
 
-def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[float, np.ndarray]:
-    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``exp(-s*G) x``.
+def _solve(d: Dilation, x: np.ndarray, s0: float | None = None):
+    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``y = exp(-s*G) x`` as
+    :meth:`Dilation.unit_residual` gives it (a list of floats on its float path).
 
-    Takes the in-range states of :func:`_solve_nonzero`: ``t = log|x|_P`` of a
-    finite ``x`` with ``|x|_P`` in the normal range, and a bracket whose lower
-    end is at or above :func:`_log_floor`.  ``s0`` warm-starts the iteration
-    (a nearby state's root, say); a guess that is not strictly inside the
-    global bracket, NaN or infinite included, is replaced by the bracket
-    midpoint.
+    The scalar Newton core takes the in-range float arrays ``x``: ``|x|_P`` in the
+    normal range, a bracket whose lower end is at or above :func:`_log_floor` and a
+    root at most ``_LOG_MAX``.  Any other ``x`` gives ``None``.  ``s0`` warm-starts
+    the iteration; a guess not strictly inside the global bracket, NaN or infinite
+    included, is replaced by the bracket midpoint.
     """
+    nrm = d.weighted_norm(x)
+    if not _NORM_MIN <= nrm < math.inf:
+        return None
+    t = math.log(nrm)
     if t >= 0:
         lo, hi = t / d.eta_max, t / d.eta_min
     else:
         lo, hi = t / d.eta_min, t / d.eta_max
+        if lo < _log_floor(d):
+            return None
     s = s0 if s0 is not None and lo < s0 < hi else 0.5 * (lo + hi)
     residual = d.unit_residual(x)  # s stays in [lo, hi], so -s*lambda_i < _LOG_SAFE
     # Stop at half the tolerance so the residual recomputed from exp(s) by a
@@ -90,7 +96,7 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[floa
         y, q, qg = residual(s)
         g = math.sqrt(q)
         if abs(g - 1.0) <= tol:
-            return s, np.asarray(y)
+            break
         if g > 1.0:
             lo = s
         else:
@@ -108,12 +114,14 @@ def _solve(d: Dilation, x: np.ndarray, s0: float | None, t: float) -> tuple[floa
             if not lo < s_next < hi:
                 # No float lies strictly inside the bracket, so s is as near the
                 # root as floats get; apply's roundoff kept |g - 1| above tol.
-                return s, np.asarray(y)
+                break
         s = s_next
-    raise NoConvergenceError(
-        f"homogeneous norm solve did not reach rel_tol={_REL_TOL} "
-        f"in {_MAX_ITER} iterations"
-    )
+    else:
+        raise NoConvergenceError(
+            f"homogeneous norm solve did not reach rel_tol={_REL_TOL} "
+            f"in {_MAX_ITER} iterations"
+        )
+    return (s, y) if s <= _LOG_MAX else None
 
 
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,24 +161,18 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
     )
 
 
-def _solve_nonzero(d: Dilation, x, s0: float | None = None) -> tuple[float, np.ndarray] | None:
-    """:func:`_solve` at ``x``, warm-started at ``s0``, or ``None`` at the origin:
-    ``x = 0``, or ``ln|x|_d`` below :func:`_log_floor`.
-
-    Only an in-range state (``|x|_P`` in the normal range, a bracket above the
-    floor, a root below ``_LOG_MAX``) is taken from :func:`_solve`; every other
-    one is decided by :func:`_solve_many_nonzero` on the one row ``x``, which
-    raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
-    and :class:`NormOverflowError` if its norm exceeds the largest float.
-    """
+def _solve_nonzero(d: Dilation, x, s0: float | None = None):
+    """:func:`_solve` at ``x``, warm-started at ``s0``, or :func:`_solve_row` where it
+    gives ``None``; ``None`` at the origin: ``x = 0``, or ``ln|x|_d`` below the floor."""
     x = np.asarray(x, dtype=float)
-    nrm = d.weighted_norm(x)
-    if _NORM_MIN <= nrm < math.inf:
-        t = math.log(nrm)
-        if t >= 0 or t / d.eta_min >= _log_floor(d):
-            root = _solve(d, x, s0, t)
-            if root[0] <= _LOG_MAX:
-                return root
+    root = _solve(d, x, s0)
+    return _solve_row(d, x) if root is None else root
+
+
+def _solve_row(d: Dilation, x: np.ndarray):
+    """:func:`_solve_many_nonzero` on the one row ``x``: ``(s, y)``, or ``None`` at the
+    origin.  Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
+    and :class:`NormOverflowError` if its norm exceeds the largest float."""
     _, mask, s, y = _solve_many_nonzero(d, x[None])
     return (float(s[0]), y[:, 0]) if mask[0] else None
 
@@ -234,7 +236,7 @@ def hom_project(d: Dilation, x) -> np.ndarray:
     root = _solve_nonzero(d, x)
     if root is None:
         raise ZeroVectorError("cannot project the origin onto the unit sphere")
-    return root[1]
+    return np.asarray(root[1])
 
 
 def phi(d: Dilation, x) -> np.ndarray:
@@ -243,7 +245,7 @@ def phi(d: Dilation, x) -> np.ndarray:
     if root is None:
         return np.zeros(d.dim)
     s, y = root
-    return math.exp(s) * y
+    return math.exp(s) * np.asarray(y)
 
 
 def _apply_unit(d: Dilation, s: float, u: np.ndarray) -> np.ndarray:

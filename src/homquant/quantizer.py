@@ -83,8 +83,18 @@ def _check_dim(d: Dilation, p: QuantizerParams) -> None:
         raise UnsupportedDimensionError(f"quantizer for dim {p.dim} under a dim {d.dim} dilation")
 
 
+def _grid_value(p: QuantizerParams, i: int) -> float:
+    """Grid value ``nu**i * xi0`` of radial cell ``i`` (its edge ``rho * nu**i`` is
+    finite); :class:`NormOverflowError` where it is past the largest float."""
+    value = p.nu ** i * p.xi0
+    if value == math.inf:
+        raise NormOverflowError(f"the grid value of radial cell {i} exceeds the largest float")
+    return value
+
+
 def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
-    """Radial grid value and level index for ``z >= 0``; zero maps to ``(0.0, 0)``."""
+    """Radial grid value and level index for ``z >= 0``; zero maps to ``(0.0, 0)``.
+    Raises :class:`NormOverflowError` where the grid value is past the largest float."""
     z = float(z)
     if not math.isfinite(z):
         raise NonFiniteInputError(f"radial quantizer input must be finite, got {z!r}")
@@ -93,31 +103,30 @@ def log_quantize(p: QuantizerParams, z: float) -> tuple[float, int]:
     if z == 0.0:
         return 0.0, 0
     i = _radial_cell(p.nu, p.rho, z)
-    return p.nu ** i * p.xi0, i
+    return _grid_value(p, i), i
 
 
 def _log_quantize_many(p: QuantizerParams, z: np.ndarray) -> np.ndarray:
     """:func:`log_quantize` values of the positive finite entries of ``z``, bit for bit."""
-    return _by_value(lambda i: p.nu ** i * p.xi0, _radial_cells(p.nu, p.rho, z))
+    return _by_value(_grid_value, _radial_cells(p.nu, p.rho, z), p)
 
 
 def _polar(w: list[float]) -> tuple[float, list[float]]:
     """Radius and angles of the coordinate list ``w`` as :func:`to_spherical`
-    defines them; fewer than two coordinates give no angles."""
+    defines them; fewer than two coordinates give no angles.  Each tail magnitude
+    is the root of one running sum of squares, taken from the last coordinate."""
     n = len(w)
-    tails = [0.0] * (n + 1)
-    acc = 0.0
-    for i in range(n - 1, -1, -1):
-        acc += w[i] * w[i]
-        tails[i] = math.sqrt(acc)
+    acc = w[-1] * w[-1]
     if n < 2:
-        return tails[0], []
-    angles = [math.atan2(tails[i + 1], w[i]) for i in range(n - 2)]
-    last = math.atan2(w[n - 1], w[n - 2])
-    if last < 0:
-        last += 2.0 * math.pi
-    angles.append(last)
-    return tails[0], angles
+        return math.sqrt(acc), []
+    angles = [0.0] * (n - 1)
+    last = math.atan2(w[-1], w[-2])
+    angles[-1] = last + 2.0 * math.pi if last < 0 else last
+    for i in range(n - 2, 0, -1):
+        acc += w[i] * w[i]
+        angles[i - 1] = math.atan2(math.sqrt(acc), w[i - 1])
+    acc += w[0] * w[0]
+    return math.sqrt(acc), angles
 
 
 def to_spherical(y) -> tuple[float, np.ndarray]:
@@ -151,10 +160,11 @@ def unit_from_angles(d: Dilation, angles) -> np.ndarray:
 
 def _spherical_cell(d: Dilation, p: QuantizerParams, u) -> list[int]:
     """Encoder of :func:`spherical_quantize`: the grid indices
-    ``floor(a/delta_angle + 1/2)`` of the angles ``a`` of ``P^{1/2} u``."""
-    w = d.to_euclidean(np.asarray(u, dtype=float))
+    ``floor(a/delta_angle + 1/2)`` of the angles ``a`` of ``P^{1/2} u``, for ``u`` a
+    float array or the list of floats that the norm solve's float path gives."""
+    w = d.to_euclidean(u)  # u itself under the identity weight
     # |w| is |u|_P; a NaN radius fails the check too.
-    radius, angles = _polar(w.tolist())
+    radius, angles = _polar(w if isinstance(w, list) else w.tolist())
     if not abs(radius - 1.0) <= _SPHERE_TOL:
         raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
     if not angles:
@@ -174,7 +184,7 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     ``delta_angle`` divides ``pi``.
     """
     _check_dim(d, p)
-    q = [k * p.delta_angle for k in _spherical_cell(d, p, u)]
+    q = [k * p.delta_angle for k in _spherical_cell(d, p, np.asarray(u, dtype=float))]
     q[-1] = q[-1] % (2.0 * math.pi)
     return unit_from_angles(d, q)
 

@@ -18,7 +18,8 @@ from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import (DegreeMismatchError, EmptyTrajectoryError, NonFiniteInputError,
                      NonFiniteStateError, NormOverflowError)
-from .geometry import _apply_unit, _solve_nonzero
+from . import geometry
+from .geometry import _apply_unit, _edge, _solve_nonzero, _solve_row
 from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
                         spherical_quantize)
 
@@ -175,22 +176,34 @@ def simulate(plant: HomPlant, fb: HomFeedback,
         raise DegreeMismatchError(f"norm_power {kappa:g} does not match the plant: the closed loop "
                                   f"is homogeneous only if G B = (norm_power - {plant.degree:g}) B")
     # Quantized feedback, decoded once per symbol (radial value, angle cell)
-    # as (u, x_hat).
+    # as (u, x_hat, b u).
     decoded: dict[tuple, tuple] = {}
     no_control = np.zeros(m)
+    no_push = b.dot(no_control)
+    solve = geometry._solve  # looked up per run, so a wrapper installed on the module is seen
+    # The last radial cell [_edge(i), _edge(i - 1)) and its grid value: neighbouring
+    # cells share one computed edge, so log_quantize puts every r in it in cell i.
+    cell = [math.inf, -math.inf, 0.0]
 
     def stage(x, s0):
         # (xdot, x_hat, u, s) at one RK stage, with hom_norm = exp(s) (s is
-        # -inf at the origin) and the solve warm-started at s0.  The gate
-        # raises on a NaN or infinite x and on a norm past the largest float.
-        root = _solve_nonzero(d, x, s0)
-        s, x_hat, u = -math.inf, x, no_control
+        # -inf at the origin) and the solve warm-started at s0.  The batch gate takes
+        # the rest: it raises on a NaN or infinite x and on a norm past the largest float.
+        root = solve(d, x, s0)
+        if root is None:
+            root = _solve_row(d, x)
+        s, x_hat, u, push = -math.inf, x, no_control, no_push
         if root is not None:
             s, y = root
             if quant is None:
                 u = math.exp(s * kappa) * gain.dot(y)
+                push = b.dot(u)
             else:
-                value, _ = log_quantize(quant, math.exp(s))
+                r = math.exp(s)
+                lo, hi, value = cell
+                if not lo <= r < hi:
+                    value, i = log_quantize(quant, r)
+                    cell[:] = _edge(quant.nu, quant.rho, i), _edge(quant.nu, quant.rho, i - 1), value
                 # A grid value that underflows to 0.0 is the origin.
                 if value > 0.0:
                     symbol = (value, *_spherical_cell(d, quant, y))
@@ -200,10 +213,10 @@ def simulate(plant: HomPlant, fb: HomFeedback,
                             decoded.clear()
                         seed = spherical_quantize(d, quant, y)
                         # The quantized state has homogeneous norm `value` by construction.
-                        entry = decoded[symbol] = (value ** kappa * gain.dot(seed),
-                                                   _apply_unit(d, math.log(value), seed))
-                    u, x_hat = entry
-        return np.asarray(drift(x), dtype=float) + b.dot(u), x_hat, u, s
+                        u = value ** kappa * gain.dot(seed)
+                        entry = decoded[symbol] = (u, _apply_unit(d, math.log(value), seed), b.dot(u))
+                    u, x_hat, push = entry
+        return np.asarray(drift(x), dtype=float) + push, x_hat, u, s
 
     steps = int(round(t_end / h))
     times = np.arange(steps + 1) * h
@@ -244,7 +257,9 @@ def simulate(plant: HomPlant, fb: HomFeedback,
                 k2, _, _, s2 = stage(x + half * k1, s1 + ds)
                 k3, _, _, s3 = stage(x + half * k2, s2)
                 k4, _, _, guess = stage(x + h * k3, s3 + ds)
-                x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # x + sixth * (k1 + 2 k2 + 2 k3 + k4) on Python floats, in the same order.
+                x = np.array([xi + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4) for xi, p1, p2, p3, p4
+                              in zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())])
     except (OverflowError, NonFiniteInputError) as exc:
         partial = Trajectory(times[:recorded].copy(), states[:recorded].copy(),
                              qstates[:recorded].copy(), controls[:recorded].copy(),

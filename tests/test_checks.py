@@ -1,6 +1,7 @@
 """Sampled verification helpers: samplers, homogeneity checks, sector checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ def test_discrete_homogeneity_rejects_a_margin_no_state_passes(diag321, nu, delt
     p = QuantizerParams(nu=nu, delta_angle=delta_angle, dim=3)
     with pytest.raises(ValueError, match="boundary_margin"):
         check_quantizer_discrete_homogeneity(diag321, p, SampleSpec(count=10, boundary_margin=margin))
+
+
+def test_discrete_homogeneity_gives_up_on_a_margin_few_states_pass(diag321):
+    """Margin 0.0785 is just inside half an angular cell (0.07854): about 2e-7 of
+    the draws pass, so the sampler stops at its draw limit instead of running on."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="boundary_margin 0.0785 let 0 of 10 states pass"):
+        check_quantizer_discrete_homogeneity(diag321, p, SampleSpec(count=10, boundary_margin=0.0785))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_discrete_homogeneity_negative_control(diag321):

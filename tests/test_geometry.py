@@ -149,14 +149,14 @@ def test_solve_warm_start_returns_cold_root(label, rng):
     for _ in range(20):
         x = rng.standard_normal(d.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
         t = math.log(d.weighted_norm(x))
-        s_cold, y_cold = _solve(d, x, None, t)
+        s_cold, y_cold = _solve(d, x, None)
         lo, hi = sorted((t / d.eta_max, t / d.eta_min))
         starts = (s_cold, s_cold + 1e-9, s_cold - 1e-3, s_cold + 0.5, lo, hi,
                   lo - 1.0, hi + 1.0, math.nan, math.inf, -math.inf)
         for s0 in starts:
-            s, y = _solve(d, x, s0, t)
+            s, y = _solve(d, x, s0)
             assert math.exp(s) == pytest.approx(math.exp(s_cold), rel=geometry._REL_TOL)
-            assert abs(d.weighted_norm(y) - 1.0) <= geometry._REL_TOL
+            assert abs(d.weighted_norm(np.asarray(y)) - 1.0) <= geometry._REL_TOL
             assert np.allclose(y, d.apply(-s, x), rtol=1e-13, atol=0.0)
             assert np.allclose(y, y_cold, rtol=1e-11, atol=1e-11)
 
@@ -166,15 +166,14 @@ def test_solve_warm_start_honours_max_iter(label, monkeypatch):
     generator, weight, _ = WARM_START_DILATIONS[label]
     d = make_dilation(generator, weight)
     x = np.array([3.0, -2.0, 1.0])[:d.dim]
-    t = math.log(d.weighted_norm(x))
-    s_root, _ = _solve(d, x, None, t)
+    s_root, _ = _solve(d, x, None)
     monkeypatch.setattr(geometry, "_MAX_ITER", 1)
     # A start at the root converges at its first evaluation; any other start
     # needs a Newton step, which a budget of one iteration does not allow.
-    assert _solve(d, x, s_root, t)[0] == s_root
+    assert _solve(d, x, s_root)[0] == s_root
     for s0 in (s_root + 1e-3, math.nan):
         with pytest.raises(NoConvergenceError):
-            _solve(d, x, s0, t)
+            _solve(d, x, s0)
 
 
 # Ceiling on the Newton evaluations of one block of 8192 columns, per dilation.

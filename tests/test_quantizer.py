@@ -1,6 +1,7 @@
 """Radial log-quantizer, spherical coordinates, and the composed state quantizer."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from homquant import (
 )
 from homquant import geometry, suites
 from homquant.checks import _sample_off_boundary, sample_directions
+from homquant.quantizer import _log_quantize_many
 from homquant.geometry import _edge, _radial_cell, _radial_cells
 
 
@@ -94,6 +96,24 @@ def test_log_quantize_zero_and_negative():
     assert log_quantize(p, 0.0) == (0.0, 0)
     with pytest.raises(NegativeInputError):
         log_quantize(p, -1.0)
+
+
+@pytest.mark.parametrize("nu, overflows", [(0.1, True), (0.3, False)])
+def test_log_quantize_at_the_largest_float(nu, overflows):
+    """The cell of the largest float has the grid value nu**i * xi0, past the largest
+    float at nu = 0.1 and finite at nu = 0.3; the scalar and batch forms raise on
+    the first and keep the sector bound on the second."""
+    p = QuantizerParams(nu=nu, delta_angle=1.0, dim=3)
+    z = sys.float_info.max
+    if overflows:
+        with pytest.raises(NormOverflowError):
+            log_quantize(p, z)
+        with pytest.raises(NormOverflowError):
+            _log_quantize_many(p, np.array([1.0, z]))
+    else:
+        value, _ = log_quantize(p, z)
+        assert abs(value - z) <= p.delta * z
+        assert _log_quantize_many(p, np.array([1.0, z]))[1] == value
 
 
 def test_log_quantize_sector_bound_zero_slack(rng):

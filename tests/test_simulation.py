@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import homquant
+from homquant import geometry
 from homquant import (
     DegreeMismatchError,
     EmptyTrajectoryError,
@@ -225,6 +226,130 @@ def test_quantized_run_records_quantizer_outputs(plant, feedback):
         assert np.allclose(traj.quantized_states[k], expect, rtol=1e-10, atol=1e-12)
         u = hom_feedback_eval(feedback, d, traj.quantized_states[k])
         assert np.allclose(traj.controls[k], u, rtol=1e-9)
+
+
+# Weight of scripts/fingerprint.py's weighted run: its norm solve takes the numpy
+# residual path rather than the float one.
+WEIGHT = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]
+
+
+def _exactness_case(label):
+    """(plant, feedback, dimension, x0) of a quantized run off the float path."""
+    if label == "weighted":
+        plant = example_plant(make_dilation(np.diag([3.0, 2.0, 1.0]), WEIGHT))
+        return plant, HomFeedback(gain=GAIN, norm_power=4.0), 3, [1.0, 1.0, 1.0]
+    if label == "2d":
+        # x1' = u, x2' = x1: degree 1 under diag(2, 1), so norm_power is 1 + 2.
+        d = make_dilation(np.diag([2.0, 1.0]))
+        plant = HomPlant(drift=lambda x: np.array([0.0, x[0]]), input_matrix=[[1.0], [0.0]],
+                         degree=1.0, dilation=d)
+        return plant, HomFeedback(gain=[[-3.0, -2.0]], norm_power=3.0), 2, [1.0, -0.5]
+    # The shear [[1.5, 0.6], [0, 1]] takes the eig backend; -x commutes with it
+    # (degree 0), and its input e1 is the eigenvector of eigenvalue 1.5.
+    d = make_dilation([[1.5, 0.6], [0.0, 1.0]])
+    assert d._mode == "eig"
+    plant = HomPlant(drift=lambda x: -x, input_matrix=[[1.0], [0.0]], degree=0.0, dilation=d)
+    return plant, HomFeedback(gain=[[-1.0, -2.0]], norm_power=1.5), 2, [1.0, 1.0]
+
+
+@pytest.mark.parametrize("label", ["weighted", "2d", "eig"])
+def test_quantized_runs_record_hom_quantize_exactly(label):
+    """Off the float path too (numpy residual, n = 2, eig backend), every recorded
+    quantized state and control has the bits of the scalar quantizer applied to
+    the recorded state, with the cached radial cell and the list-fed encoder."""
+    plant, fb, n, x0 = _exactness_case(label)
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=n)
+    traj = simulate(plant, fb, p, np.array(x0), 1e-3, 0.4)
+    d = plant.dilation
+    assert len(traj) == 401 and len({hom_norm(d, q) for q in traj.quantized_states}) > 1
+    for k in range(len(traj)):
+        x = traj.states[k]
+        assert np.array_equal(traj.quantized_states[k], hom_quantize(d, p, x))
+        value, _ = log_quantize(p, hom_norm(d, x))
+        seed = spherical_quantize(d, p, hom_project(d, x))
+        assert np.array_equal(traj.controls[k], value ** fb.norm_power * fb.gain.dot(seed))
+
+
+def test_one_solve_per_stage_and_log_quantize_only_on_a_new_radial_cell(
+        plant, feedback, monkeypatch):
+    """Every RK4 stage makes one call of geometry._solve, the scalar Newton core;
+    the quantized loop calls log_quantize only when the norm leaves its last
+    radial cell."""
+    import homquant.simulation as simulation
+    calls = {"solve": 0, "log_quantize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_solve", counted("solve", geometry._solve))
+    monkeypatch.setattr(simulation, "log_quantize", counted("log_quantize", log_quantize))
+    steps, x0 = 200, np.array([1.0, 1.0, 1.0])
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    simulate(plant, feedback, None, x0, 1e-3, steps * 1e-3)
+    assert calls == {"solve": 4 * steps + 1, "log_quantize": 0}
+    calls["solve"] = 0
+    traj = simulate(plant, feedback, p, x0, 1e-3, steps * 1e-3)
+    assert calls["solve"] == 4 * steps + 1
+    levels = {log_quantize(p, r)[1] for r in traj.hom_norms}
+    assert len(levels) <= calls["log_quantize"] < 4 * steps + 1
+
+
+def _quantizer_with_rho(nu, rho):
+    """Quantizer of dim 3 whose cell 0 has the lower edge ``rho`` exactly."""
+    xi0 = rho * (1.0 + (1.0 - nu) / (1.0 + nu))
+    for _ in range(16):
+        p = QuantizerParams(nu=nu, delta_angle=math.pi / 20, dim=3, xi0=xi0)
+        if p.rho == rho:
+            return p
+        xi0 = math.nextafter(xi0, math.inf if p.rho < rho else 0.0)
+    raise AssertionError(f"no anchor puts rho at {rho!r}")
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.7, 0.95])
+def test_cached_radial_cell_agrees_with_log_quantize_at_an_edge(nu, monkeypatch):
+    """A still state whose norm sits on the computed edge of cell 0, or one float
+    either side of it, is quantized by the first stage's log_quantize and then by
+    the stage's cached cell: every row has the bits of hom_quantize."""
+    import homquant.simulation as simulation
+    d = make_dilation(np.diag([3.0, 2.0, 1.0]))
+    still = HomPlant(drift=lambda x: np.zeros(3), input_matrix=[[1.0], [0.0], [0.0]],
+                     degree=1.0, dilation=d)
+    off = HomFeedback(gain=[[0.0, 0.0, 0.0]], norm_power=4.0)
+    x0 = np.array([0.3, -0.2, 0.5])
+    r = hom_norm(d, x0)
+    calls = []
+    monkeypatch.setattr(simulation, "log_quantize",
+                        lambda p, z: calls.append(z) or log_quantize(p, z))
+    for edge in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)):
+        p = _quantizer_with_rho(nu, edge)
+        assert geometry._edge(p.nu, p.rho, 0) == edge
+        expect = hom_quantize(d, p, x0)
+        calls.clear()
+        traj = simulate(still, off, p, x0, 1e-3, 0.01)
+        assert calls == [r] and np.all(traj.hom_norms == r)
+        for row in traj.quantized_states:
+            assert np.array_equal(row, expect)
+    # On the edge the cell is 0; below it, cell 1.
+    assert log_quantize(_quantizer_with_rho(nu, r), r)[1] == 0
+    assert log_quantize(_quantizer_with_rho(nu, math.nextafter(r, math.inf)), r)[1] == 1
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.7, 0.95])
+def test_cell_bounds_hold_exactly_the_values_log_quantize_puts_there(nu):
+    """At every computed edge and the floats either side of it, r lies in
+    [_edge(i), _edge(i - 1)) for exactly the cell i that log_quantize returns:
+    the stage's cache test picks the cell log_quantize would."""
+    p = QuantizerParams(nu=nu, delta_angle=1.0, dim=3)
+    for i in range(-60, 61, 3):
+        e = geometry._edge(p.nu, p.rho, i)
+        for r in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)):
+            _, j = log_quantize(p, r)
+            for k in (i - 1, i, i + 1):
+                lo, hi = geometry._edge(p.nu, p.rho, k), geometry._edge(p.nu, p.rho, k - 1)
+                assert (lo <= r < hi) == (k == j)
 
 
 def test_quantized_norms_on_grid(plant, feedback):
