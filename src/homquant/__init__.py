@@ -71,7 +71,6 @@ from .simulation import (
     HomPlant,
     Trajectory,
     example_plant,
-    hom_feedback_eval,
     settling_metrics,
     simulate,
 )

@@ -110,29 +110,15 @@ class Dilation:
             return self._eig(svals, self._evecs_inv @ cols, np)
         return (self._expm_many(svals) * cols.T[:, None, :]).sum(axis=2).T
 
+    @property
+    def float_diagonal(self) -> tuple[float, ...] | None:
+        """The generator's diagonal as Python floats where the norm solve runs on them
+        (a diagonal generator under the identity weight), else ``None``."""
+        return tuple(self._diag.tolist()) if self._mode == "diag" and self._p_is_identity else None
+
     def unit_residual(self, x: np.ndarray):
         """The map ``s -> (y, |y|_P**2, y' P G y)``, ``y = exp(-s*G) @ x``: the norm
-        solve's unit equation ``|y|_P = 1`` and its Newton slope, evaluated in one place.
-
-        A diagonal generator under the identity weight runs on Python floats, which
-        beat numpy on short vectors, and gives ``y`` as a list.  ``math.exp`` there
-        raises ``OverflowError`` rather than return inf, so the caller keeps every
-        ``-s*lambda_i`` below ``geometry._LOG_SAFE``.  Other cases call :meth:`apply`."""
-        if self._mode == "diag" and self._p_is_identity:
-            lam, xs = self._diag.tolist(), x.tolist()
-
-            def residual(s):
-                ys = []
-                q = qg = 0.0
-                for li, xi in zip(lam, xs):
-                    yi = math.exp(-s * li) * xi
-                    ys.append(yi)
-                    yy = yi * yi
-                    q += yy
-                    qg += li * yy
-                return ys, q, qg
-            return residual
-
+        solve's unit equation ``|y|_P = 1`` and its Newton slope, evaluated in one place."""
         def residual(s):
             y = self.apply(-s, x)
             q = y.dot(y) if self._p_is_identity else y.dot(self.weight.dot(y))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     NormOverflowError,
     ZeroVectorError,
 )
+from .kernel import kernel
 
 # Largest s with a finite exp(s): the log of the largest homogeneous norm.
 _LOG_MAX = math.log(sys.float_info.max)
@@ -44,6 +46,9 @@ _NORM_MIN = math.sqrt(sys.float_info.min)
 # Columns per block of the batch solve: its ~25 temporaries then take about
 # 2 MiB, which stays in a 4 MiB L2 cache across the Newton iterations.
 _BLOCK = 8192
+# The scalar Newton core of each live dilation, by id, bound on its first solve;
+# an entry goes when its dilation does.
+_NEWTON: dict = {}
 
 
 @dataclass(frozen=True)
@@ -67,61 +72,25 @@ def _log_floor(d: Dilation) -> float:
     return -_LOG_SAFE / max(d.eta_max, 1.0)
 
 
-def _solve(d: Dilation, x: np.ndarray, s0: float | None = None):
-    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``y = exp(-s*G) x`` as
-    :meth:`Dilation.unit_residual` gives it (a list of floats on its float path).
+def _solve(d: Dilation, x, s0: float | None = None):
+    """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``y = exp(-s*G) x`` as a list
+    of floats, from the scalar Newton core of :mod:`~homquant.kernel`.
 
-    The scalar Newton core takes the in-range float arrays ``x``: ``|x|_P`` in the
-    normal range, a bracket whose lower end is at or above :func:`_log_floor` and a
-    root at most ``_LOG_MAX``.  Any other ``x`` gives ``None``.  ``s0`` warm-starts
-    the iteration; a guess not strictly inside the global bracket, NaN or infinite
-    included, is replaced by the bracket midpoint.
+    The core takes the in-range states ``x`` (a sequence of floats or a float array):
+    ``|x|_P`` in the normal range, a bracket whose lower end is at or above
+    :func:`_log_floor` and a root at most ``_LOG_MAX``.  Any other ``x`` gives ``None``.
+    ``s0`` warm-starts the iteration; a guess not strictly inside the global bracket,
+    NaN or infinite included, is replaced by the bracket midpoint.  A diagonal generator
+    under the identity weight is solved on Python floats, any other dilation through
+    :meth:`Dilation.unit_residual` on arrays; the core is bound on a dilation's first solve.
     """
-    nrm = d.weighted_norm(x)
-    if not _NORM_MIN <= nrm < math.inf:
-        return None
-    t = math.log(nrm)
-    if t >= 0:
-        lo, hi = t / d.eta_max, t / d.eta_min
-    else:
-        lo, hi = t / d.eta_min, t / d.eta_max
-        if lo < _log_floor(d):
-            return None
-    s = s0 if s0 is not None and lo < s0 < hi else 0.5 * (lo + hi)
-    residual = d.unit_residual(x)  # s stays in [lo, hi], so -s*lambda_i < _LOG_SAFE
-    # Stop at half the tolerance so the residual recomputed from exp(s) by a
-    # caller stays within _REL_TOL despite the extra roundoff.
-    tol = 0.5 * _REL_TOL
-    for _ in range(_MAX_ITER):
-        y, q, qg = residual(s)
-        g = math.sqrt(q)
-        if abs(g - 1.0) <= tol:
-            break
-        if g > 1.0:
-            lo = s
-        else:
-            hi = s
-        try:
-            # Newton step on log|exp(-s*G) x|_P.  The slope qg/q is bounded
-            # away from 0, but far from the root of a huge state q can
-            # underflow to 0 (log and division raise) or overflow to inf
-            # (the step is NaN); the bisection below takes over either way.
-            s_next = s + 0.5 * math.log(q) / (qg / q)
-        except (ValueError, ZeroDivisionError):
-            s_next = math.nan
-        if not (lo < s_next < hi):
-            s_next = 0.5 * (lo + hi)
-            if not lo < s_next < hi:
-                # No float lies strictly inside the bracket, so s is as near the
-                # root as floats get; apply's roundoff kept |g - 1| above tol.
-                break
-        s = s_next
-    else:
-        raise NoConvergenceError(
-            f"homogeneous norm solve did not reach rel_tol={_REL_TOL} "
-            f"in {_MAX_ITER} iterations"
-        )
-    return (s, y) if s <= _LOG_MAX else None
+    newton = _NEWTON.get(id(d))
+    if newton is None:
+        lam = d.float_diagonal
+        make = kernel(d.dim, 1, lam is not None)["make_newton"]
+        newton = _NEWTON[id(d)] = make(sys.modules[__name__], d, lam, _log_floor(d))
+        weakref.finalize(d, _NEWTON.pop, id(d), None)
+    return newton(d, x, s0)
 
 
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +143,7 @@ def _solve_row(d: Dilation, x: np.ndarray):
     origin.  Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
     and :class:`NormOverflowError` if its norm exceeds the largest float."""
     _, mask, s, y = _solve_many_nonzero(d, x[None])
-    return (float(s[0]), y[:, 0]) if mask[0] else None
+    return (float(s[0]), y[:, 0].tolist()) if mask[0] else None
 
 
 def _solve_many_nonzero(d: Dilation, xs):

@@ -1,0 +1,213 @@
+"""Straight-line Python-float kernel of the scalar norm solve and the closed loop.
+
+One template covers every state size ``n`` and input count ``m``.  Each
+``(n, m)`` is rendered, compiled and cached on its first use, never at import:
+a line holding ``{i}`` (``{j}``) is repeated for each coordinate (input), and
+``<<sep item>>`` joins ``item`` over ``{l}`` in ``1..m`` (or, where it holds
+no ``{l}``, over ``{k}`` in ``1..n``) with ``sep``, one of ``,``, ``+`` and
+``and``.  Lines tagged ``# floats`` build the Newton core of a diagonal
+generator under the identity weight, on Python floats; lines tagged
+``# arrays`` build it for every other dilation, through
+:meth:`~homquant.dilation.Dilation.unit_residual`.  The source is registered
+in :mod:`linecache` under a pseudo-filename, so a traceback through the
+kernel shows its lines.  Each sum runs in coordinate order, so where numpy's
+dot product formed it before, the last bit can differ.
+"""
+
+from __future__ import annotations
+
+import functools
+import linecache
+import re
+from math import exp, inf, isfinite, log, nan, sqrt
+
+from numpy import array, asarray, ndarray
+
+from .errors import NoConvergenceError, NonFiniteInputError
+
+_TEMPLATE = '''\
+def make_newton(geometry, d, lam, floor):
+    """geometry._solve's Newton core for the dilation d: newton(d, x, s0) -> (s, y) or None.
+    It holds no reference to d, which can then be collected."""
+    <<, lam{k}>>, = lam  # floats
+    eta_min, eta_max = d.eta_min, d.eta_max
+    # Stop at half the tolerance so the residual recomputed from exp(s) by a
+    # caller stays within _REL_TOL despite the extra roundoff.
+    norm_min, log_max, tol = geometry._NORM_MIN, geometry._LOG_MAX, 0.5 * geometry._REL_TOL
+
+    def newton(d, x, s0):
+        if isinstance(x, ndarray):  # floats
+            x = x.tolist()  # floats
+        <<, x{k}>>, = x  # floats
+        nrm = sqrt(<<+ x{k} * x{k}>>)  # floats
+        x = asarray(x, dtype=float)  # arrays
+        nrm = d.weighted_norm(x)  # arrays
+        if not norm_min <= nrm < inf:
+            return None
+        t = log(nrm)
+        if t >= 0:
+            lo, hi = t / eta_max, t / eta_min
+        else:
+            lo, hi = t / eta_min, t / eta_max
+            if lo < floor:
+                return None
+        s = s0 if s0 is not None and lo < s0 < hi else 0.5 * (lo + hi)
+        residual = d.unit_residual(x)  # arrays
+        max_iter = geometry._MAX_ITER
+        for _ in range(max_iter):
+            # s stays in [lo, hi], so every -s*lam_i is below geometry._LOG_SAFE.
+            y{i} = exp(-s * lam{i}) * x{i}  # floats
+            yy{i} = y{i} * y{i}  # floats
+            q = <<+ yy{k}>>  # floats
+            qg = <<+ lam{k} * yy{k}>>  # floats
+            y, q, qg = residual(s)  # arrays
+            g = sqrt(q)
+            if abs(g - 1.0) <= tol:
+                break
+            if g > 1.0:
+                lo = s
+            else:
+                hi = s
+            try:
+                # Newton step on log|exp(-s*G) x|_P.  Far from the root of a huge
+                # state q can underflow to 0 (log and division raise) or overflow
+                # to inf (the step is NaN); the bisection below takes over.
+                s_next = s + 0.5 * log(q) / (qg / q)
+            except (ValueError, ZeroDivisionError):
+                s_next = nan
+            if not (lo < s_next < hi):
+                s_next = 0.5 * (lo + hi)
+                if not lo < s_next < hi:
+                    # No float lies strictly inside the bracket, so s is as near
+                    # the root as floats get.
+                    break
+            s = s_next
+        else:
+            raise NoConvergenceError(f"homogeneous norm solve did not reach "
+                                     f"rel_tol={geometry._REL_TOL} in {max_iter} iterations")
+        return (s, [<<, y{k}>>]) if s <= log_max else None  # floats
+        return (s, y.tolist()) if s <= log_max else None  # arrays
+    return newton
+
+
+def make_stage(solve, solve_row, d, drift, gain, b, kappa, quant, log_quantize, edge, encode,
+               decode, decoded_max):
+    """stage(x, s0) -> (xdot, x_hat, u, s) of the closed loop xdot = drift(x) + B u."""
+    rows = iter(gain.tolist())
+    <<, g{j}_{k}>>, = next(rows)
+    rows = iter(b.tolist())
+    <<, b{i}_{l}>>, = next(rows)
+    no_control, no_push = (0.0,) * len(gain), (0.0,) * len(b)
+    # The last radial cell [edge(i), edge(i - 1)) and its grid value: neighbouring
+    # cells share one computed edge, so log_quantize puts every r in it in cell i.
+    # And the decoded quantizer symbols (radial value, angle cell) -> (x_hat, u, B u).
+    lo, hi, value = inf, -inf, 0.0
+    decoded = {}
+
+    def stage(x, s0):
+        nonlocal lo, hi, value
+        # hom_norm is exp(s), and s is -inf at the origin.  The batch gate takes what
+        # the core does not: it raises on a NaN or infinite x and on a norm past the
+        # largest float.
+        root = solve(d, x, s0)
+        if root is None:
+            root = solve_row(d, array(x))
+        if root is None:
+            s, x_hat, u, push = -inf, x, no_control, no_push
+        elif quant is None:
+            s, y = root
+            <<, y{k}>>, = y
+            e = exp(s * kappa)
+            u{j} = e * (<<+ g{j}_{k} * y{k}>>)
+            x_hat, u, push = x, (<<, u{l}>>,), (<<, <<+ b{k}_{l} * u{l}>>>>,)
+        else:
+            s, y = root
+            r = exp(s)
+            if not lo <= r < hi:
+                value, i = log_quantize(quant, r)
+                lo, hi = edge(quant.nu, quant.rho, i), edge(quant.nu, quant.rho, i - 1)
+            x_hat, u, push = x, no_control, no_push
+            # A grid value that underflows to 0.0 is the origin.
+            if value > 0.0:
+                symbol = (value, *encode(d, quant, y))
+                entry = decoded.get(symbol)
+                if entry is None:
+                    if len(decoded) >= decoded_max:
+                        decoded.clear()
+                    entry = decoded[symbol] = decode(value, y)
+                x_hat, u, push = entry
+        <<, p{k}>>, = push
+        <<, f{k}>>, = asarray(drift(array(x)), dtype=float).tolist()
+        return (<<, f{k} + p{k}>>,), x_hat, u, s
+    return stage
+
+
+def rk4(stage, x, steps, h, states, qstates, controls, norms):
+    """Append steps + 1 rows of fixed-step RK4 from x, or fewer, up to the origin, to
+    the flat float buffers states, qstates, controls and norms."""
+    half, sixth = 0.5 * h, h / 6.0
+    # Each stage's solve starts at the previous stage's root, moved by half a
+    # step's change of s at k2 and k4; a NaN guess starts cold.
+    guess, s1_last = nan, None
+    for step in range(steps + 1):
+        (<<, k1_{k}>>,), x_hat, u, s1 = stage(x, guess)
+        r = exp(s1)
+        <<, u{l}>>, = u
+        # A float product can still make the control infinite without raising:
+        # check it entry by entry, with no sum that could overflow, and never
+        # record a partially poisoned row.
+        if not (<<and isfinite(u{l})>>):
+            raise NonFiniteInputError("control has a NaN or infinite entry")
+        states.extend(x)
+        qstates.extend(x_hat)
+        controls.extend(u)
+        norms.append(r)
+        if step == steps or r == 0.0:
+            return  # at r == 0 the origin is reached
+        ds = 0.0 if s1_last is None else 0.5 * (s1 - s1_last)
+        s1_last = s1
+        <<, x{k}>>, = x
+        (<<, k2_{k}>>,), _, _, s2 = stage((<<, x{k} + half * k1_{k}>>,), s1 + ds)
+        (<<, k3_{k}>>,), _, _, s3 = stage((<<, x{k} + half * k2_{k}>>,), s2)
+        (<<, k4_{k}>>,), _, _, guess = stage((<<, x{k} + h * k3_{k}>>,), s3 + ds)
+        x = (<<, x{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})>>,)
+'''
+
+_JOIN = re.compile(r"<<(,|\+|and) ((?:(?!<<|>>).)*)>>")
+_TAGS = ("  # floats", "  # arrays")
+
+
+def _join(match: re.Match, n: int, m: int) -> str:
+    sep, item = match[1], match[2]
+    var, count = ("{l}", m) if "{l}" in item else ("{k}", n)
+    return (", " if sep == "," else f" {sep} ").join(
+        item.replace(var, str(c)) for c in range(1, count + 1))
+
+
+def _render(n: int, m: int, floats: bool) -> str:
+    lines = []
+    for line in _TEMPLATE.splitlines():
+        if line.endswith(_TAGS[floats]):
+            continue
+        line = line.removesuffix(_TAGS[not floats])
+        # Innermost joins first: a join may hold one.
+        while (joined := _JOIN.sub(lambda mt: _join(mt, n, m), line)) != line:
+            line = joined
+        var, count = ("{i}", n) if "{i}" in line else ("{j}", m) if "{j}" in line else ("", 1)
+        lines += [line.replace(var, str(c)) if var else line for c in range(1, count + 1)]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def kernel(n: int, m: int, floats: bool) -> dict:
+    """Namespace of the kernel for ``n`` states and ``m`` inputs: ``make_newton``
+    (on Python floats if ``floats``, else on arrays), ``make_stage`` and ``rk4``."""
+    source = _render(n, m, floats)
+    filename = f"<homquant kernel n={n} m={m}{'' if floats else ' arrays'}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"array": array, "asarray": asarray, "ndarray": ndarray, "exp": exp, "inf": inf,
+                 "isfinite": isfinite, "log": log, "nan": nan, "sqrt": sqrt,
+                 "NoConvergenceError": NoConvergenceError,
+                 "NonFiniteInputError": NonFiniteInputError}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace

@@ -10,6 +10,7 @@ plant.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,10 @@ import numpy as np
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import (DegreeMismatchError, EmptyTrajectoryError, NonFiniteInputError,
-                     NonFiniteStateError, NormOverflowError)
+                     NonFiniteStateError)
 from . import geometry
-from .geometry import _apply_unit, _edge, _solve_nonzero, _solve_row
+from .geometry import _apply_unit, _edge, _solve_row
+from .kernel import kernel
 from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
                         spherical_quantize)
 
@@ -117,26 +119,6 @@ def example_plant(dilation: Dilation | None = None) -> HomPlant:
     return HomPlant(drift=_example_drift, input_matrix=b, degree=1.0, dilation=d)
 
 
-def hom_feedback_eval(fb: HomFeedback, d: Dilation, x) -> np.ndarray:
-    """Feedback law evaluated at ``x``; zero where :func:`~homquant.geometry.hom_norm` is 0.
-    Raises :class:`NormOverflowError` where the control exceeds the largest float."""
-    root = _solve_nonzero(d, x)
-    if root is None:
-        return np.zeros(fb.gain.shape[0])
-    s, y = root
-    try:
-        with np.errstate(over="raise"):
-            return math.exp(s * fb.norm_power) * (fb.gain @ y)
-    except (OverflowError, FloatingPointError):
-        raise NormOverflowError("the feedback exceeds the largest float") from None
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Every entry of the short vector ``a`` is finite, checked entry by entry
-    (faster than numpy on a state-sized vector; no sum that could overflow)."""
-    return all(map(math.isfinite, a.tolist()))
-
-
 def simulate(plant: HomPlant, fb: HomFeedback,
              quant: QuantizerParams | None,
              x0, h: float, t_end: float) -> Trajectory:
@@ -167,7 +149,6 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     d = plant.dilation
     b = plant.input_matrix
     m = fb.gain.shape[0]
-    drift = plant.drift
     kappa = fb.norm_power
     gain = fb.gain
     # The loop is homogeneous iff the gain is zero or G B = (norm_power - degree) B.
@@ -175,100 +156,39 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     if np.any(gain) and np.max(np.abs(gb - (kappa - plant.degree) * b)) > 1e-12 * np.max(np.abs(gb)):
         raise DegreeMismatchError(f"norm_power {kappa:g} does not match the plant: the closed loop "
                                   f"is homogeneous only if G B = (norm_power - {plant.degree:g}) B")
-    # Quantized feedback, decoded once per symbol (radial value, angle cell)
-    # as (u, x_hat, b u).
-    decoded: dict[tuple, tuple] = {}
-    no_control = np.zeros(m)
-    no_push = b.dot(no_control)
-    solve = geometry._solve  # looked up per run, so a wrapper installed on the module is seen
-    # The last radial cell [_edge(i), _edge(i - 1)) and its grid value: neighbouring
-    # cells share one computed edge, so log_quantize puts every r in it in cell i.
-    cell = [math.inf, -math.inf, 0.0]
 
-    def stage(x, s0):
-        # (xdot, x_hat, u, s) at one RK stage, with hom_norm = exp(s) (s is
-        # -inf at the origin) and the solve warm-started at s0.  The batch gate takes
-        # the rest: it raises on a NaN or infinite x and on a norm past the largest float.
-        root = solve(d, x, s0)
-        if root is None:
-            root = _solve_row(d, x)
-        s, x_hat, u, push = -math.inf, x, no_control, no_push
-        if root is not None:
-            s, y = root
-            if quant is None:
-                u = math.exp(s * kappa) * gain.dot(y)
-                push = b.dot(u)
-            else:
-                r = math.exp(s)
-                lo, hi, value = cell
-                if not lo <= r < hi:
-                    value, i = log_quantize(quant, r)
-                    cell[:] = _edge(quant.nu, quant.rho, i), _edge(quant.nu, quant.rho, i - 1), value
-                # A grid value that underflows to 0.0 is the origin.
-                if value > 0.0:
-                    symbol = (value, *_spherical_cell(d, quant, y))
-                    entry = decoded.get(symbol)
-                    if entry is None:
-                        if len(decoded) >= _DECODED_MAX:
-                            decoded.clear()
-                        seed = spherical_quantize(d, quant, y)
-                        # The quantized state has homogeneous norm `value` by construction.
-                        u = value ** kappa * gain.dot(seed)
-                        entry = decoded[symbol] = (u, _apply_unit(d, math.log(value), seed), b.dot(u))
-                    u, x_hat, push = entry
-        return np.asarray(drift(x), dtype=float) + push, x_hat, u, s
+    def decode(value, y):
+        # (x_hat, u, B u) of a new quantizer symbol: the quantized state has the
+        # homogeneous norm `value` by construction.
+        seed = spherical_quantize(d, quant, y)
+        u = value ** kappa * gain.dot(seed)
+        return _apply_unit(d, math.log(value), seed).tolist(), u.tolist(), b.dot(u).tolist()
 
+    code = kernel(n, m, True)
+    # geometry._solve is looked up per run, so a wrapper installed on the module is seen.
+    stage = code["make_stage"](geometry._solve, _solve_row, d, plant.drift, gain, b, kappa, quant,
+                               log_quantize, _edge, _spherical_cell, decode, _DECODED_MAX)
     steps = int(round(t_end / h))
-    times = np.arange(steps + 1) * h
-    states = np.zeros((steps + 1, n))
-    qstates = np.zeros((steps + 1, n))
-    controls = np.zeros((steps + 1, m))
-    norms = np.zeros(steps + 1)
-
-    x = x0.copy()
-    half = 0.5 * h
-    sixth = h / 6.0
-    # Warm starts: each stage's solve starts at the previous stage's root,
-    # moved by half a step's change of s at the stages that sit half a step
-    # further on (k2 and k4).  A NaN or infinite guess starts cold.
-    guess = math.nan
-    s1_last = None
-    recorded = 0
+    # States, quantized states, controls and homogeneous norms, row after row.
+    rows = tuple(array("d") for _ in range(4))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps + 1):
-                # The stage raises on a non-finite state and where its norm, the
-                # control (a Python float power) or the quantized state passes
-                # the largest float; a numpy product can still give an infinite
-                # control.  Never record a partially poisoned row.
-                k1, x_hat, u, s1 = stage(x, guess)
-                r = math.exp(s1)
-                if not _all_finite(u):
-                    raise NonFiniteInputError("control has a NaN or infinite entry")
-                states[k] = x
-                qstates[k] = x_hat
-                controls[k] = u
-                norms[k] = r
-                recorded = k + 1
-                if k == steps or r == 0.0:
-                    break  # at r == 0 the origin is reached: remaining rows stay zero
-                ds = 0.0 if s1_last is None else 0.5 * (s1 - s1_last)
-                s1_last = s1
-                k2, _, _, s2 = stage(x + half * k1, s1 + ds)
-                k3, _, _, s3 = stage(x + half * k2, s2)
-                k4, _, _, guess = stage(x + h * k3, s3 + ds)
-                # x + sixth * (k1 + 2 k2 + 2 k3 + k4) on Python floats, in the same order.
-                x = np.array([xi + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4) for xi, p1, p2, p3, p4
-                              in zip(x.tolist(), k1.tolist(), k2.tolist(), k3.tolist(), k4.tolist())])
+            code["rk4"](stage, tuple(x0.tolist()), steps, h, *rows)
     except (OverflowError, NonFiniteInputError) as exc:
-        partial = Trajectory(times[:recorded].copy(), states[:recorded].copy(),
-                             qstates[:recorded].copy(), controls[:recorded].copy(),
-                             norms[:recorded].copy())
-        raise NonFiniteStateError(
-            f"state became non-finite at t={recorded * h:.6g}", trajectory=partial
-        ) from exc
+        raise NonFiniteStateError(f"state became non-finite at t={len(rows[3]) * h:.6g}",
+                                  trajectory=_trajectory(rows, len(rows[3]), h, n, m)) from exc
+    return _trajectory(rows, steps + 1, h, n, m)
 
-    return Trajectory(times, states, qstates, controls, norms)
+
+def _trajectory(rows: tuple, count: int, h: float, n: int, m: int) -> Trajectory:
+    """``count`` rows sampled every ``h``: the recorded ``rows``, then zeros (the origin)."""
+    arrays = []
+    for recorded, width in zip(rows, (n, n, m, 1)):
+        a = np.frombuffer(recorded).reshape(-1, width)  # a view of the buffer, not a copy
+        if len(a) < count:
+            a = np.vstack([a, np.zeros((count - len(a), width))])
+        arrays.append(a)
+    return Trajectory(np.arange(count) * h, *arrays[:3], arrays[3].reshape(-1))
 
 
 def settling_metrics(traj: Trajectory, threshold: float) -> tuple[float | None, float]:

@@ -305,8 +305,7 @@ def test_weighted_norm(rng):
 
 # -------------------------------------------------------- unit-sphere residual
 
-# One dilation per evaluation path of unit_residual and the backend it takes:
-# Python floats (diag, identity weight), and numpy on a weighted diag, eig and expm.
+# One dilation per backend of unit_residual's apply, with and without a weight.
 RESIDUAL_CASES = {
     "diag321": (GENERATORS["diag321"], None, "diag"),
     "diag321-weighted": (GENERATORS["diag321"], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],
@@ -333,13 +332,21 @@ def test_unit_residual_terms(label, rng):
     y_each, q_each, qg_each = d.unit_residual_each(RESIDUAL_S, cols)
     for j, s in enumerate(RESIDUAL_S):
         y, q, qg = d.unit_residual(cols[:, j])(s)
-        assert isinstance(y, list) == (label == "diag321")  # the float path
+        assert isinstance(y, np.ndarray)  # one path: the Python-float solve lives in the kernel
         assert _rel(y, d.apply(-s, cols[:, j])) <= 1e-14
         assert q == pytest.approx(d.weighted_norm(np.asarray(y)) ** 2, rel=1e-14, abs=0)
         assert qg == pytest.approx(np.asarray(y) @ pg @ np.asarray(y), rel=1e-14, abs=0)
         assert _rel(y_each[:, j], np.asarray(y)) <= 1e-14
         assert q_each[j] == pytest.approx(q, rel=1e-14, abs=0)
         assert qg_each[j] == pytest.approx(qg, rel=1e-14, abs=0)
+
+
+def test_float_diagonal_only_for_a_diagonal_generator_under_the_identity_weight():
+    """The scalar norm solve runs on Python floats exactly where float_diagonal is set."""
+    assert make_dilation(np.diag([3.0, 2.0, 1.0])).float_diagonal == (3.0, 2.0, 1.0)
+    for label in ("diag321-weighted", "rotate2", "jordan3"):
+        generator, weight, _ = RESIDUAL_CASES[label]
+        assert make_dilation(generator, weight).float_diagonal is None
 
 
 def test_no_other_module_reads_private_dilation_names():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from homquant import (
     Dilation,
     FundamentalDomain,
-    HomFeedback,
     NegativeInputError,
     NonFiniteInputError,
     NormOverflowError,
@@ -21,7 +20,6 @@ from homquant import (
     angular_error_bound,
     dilation_norm_bounds,
     distance_bound_alpha1,
-    hom_feedback_eval,
     hom_norm,
     hom_norm_many,
     hom_project,
@@ -202,7 +200,6 @@ def test_batch_solve_evaluations_per_block(label, monkeypatch):
 # ----------------------------------------------------------- non-finite input
 
 _P = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
-_FB = HomFeedback(gain=[[-1.0, -1.0, -1.0]], norm_power=1.0)
 # A NaN row between a finite row and the origin.
 _ROWS = np.array([[1.0, 1.0, 1.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
 NON_FINITE_CALLS = {
@@ -214,7 +211,6 @@ NON_FINITE_CALLS = {
     "projection_index": lambda d: projection_index(FundamentalDomain(d, 1.0),
                                                    [math.inf, 1.0, 1.0]),
     "hom_quantize": lambda d: hom_quantize(d, _P, [math.inf, 0.0, 0.0]),
-    "hom_feedback_eval": lambda d: hom_feedback_eval(_FB, d, [math.nan, 1.0, 1.0]),
     "to_spherical-nan": lambda d: to_spherical([math.nan, 1.0, 0.0]),
     "to_spherical-inf": lambda d: to_spherical([math.inf, 1.0, 0.0]),
     "log_quantize-inf": lambda d: log_quantize(_P, math.inf),

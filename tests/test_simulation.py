@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -18,13 +19,12 @@ from homquant import (
     HomFeedback,
     HomPlant,
     NonFiniteStateError,
-    NormOverflowError,
     QuantizerParams,
     Trajectory,
     UnsupportedDimensionError,
     example_plant,
-    hom_feedback_eval,
     hom_norm,
+    hom_norm_many,
     hom_project,
     hom_quantize,
     log_quantize,
@@ -74,26 +74,23 @@ def test_feedback_validation():
         HomFeedback(gain=GAIN, norm_power=math.inf)
 
 
+def _control(fb, d, x):
+    """The feedback law u(x) = |x|_d**norm_power * gain @ hom_project(x), zero at the origin."""
+    r = hom_norm(d, x)
+    return r ** fb.norm_power * (fb.gain @ hom_project(d, x)) if r > 0 else np.zeros(len(fb.gain))
+
+
 def test_feedback_homogeneity(plant, feedback, rng):
-    """u(exp(sG)x) = exp(4s) u(x) for the norm_power-4 law."""
+    """u(exp(sG)x) = exp(4s) u(x) for the norm_power-4 law, read off the
+    control simulate records at its first row."""
     d = plant.dilation
     for _ in range(40):
         x = rng.standard_normal(3) * 2.0
         s = rng.uniform(-2.0, 2.0)
-        u0 = hom_feedback_eval(feedback, d, x)
-        u1 = hom_feedback_eval(feedback, d, d.apply(s, x))
+        u0 = simulate(plant, feedback, None, x, 1e-3, 1e-3).controls[0]
+        u1 = simulate(plant, feedback, None, d.apply(s, x), 1e-3, 1e-3).controls[0]
         assert np.allclose(u1, math.exp(4.0 * s) * u0, rtol=1e-8)
-
-
-def test_feedback_overflow_raises(plant, feedback):
-    """A control past the largest float raises NormOverflowError: here |x|_d**4 = 1e600."""
-    with pytest.raises(NormOverflowError):
-        hom_feedback_eval(feedback, plant.dilation, [0.0, 0.0, 1e150])
-
-
-def test_feedback_zero_state(plant, feedback):
-    assert np.array_equal(hom_feedback_eval(feedback, plant.dilation, np.zeros(3)),
-                          np.zeros(1))
+        assert np.allclose(u0, _control(feedback, d, x), rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------------- integration
@@ -169,7 +166,7 @@ def test_rk4_against_adaptive_reference(plant, feedback):
     traj = simulate(plant, feedback, None, x0, 1e-3, 1.0)
 
     def rhs(t, x):
-        u = hom_feedback_eval(feedback, plant.dilation, x)
+        u = _control(feedback, plant.dilation, x)
         return np.asarray(plant.drift(x), dtype=float) + plant.input_matrix @ u
 
     ref = solve_ivp(rhs, (0.0, 1.0), x0, rtol=1e-11, atol=1e-13)
@@ -224,7 +221,7 @@ def test_quantized_run_records_quantizer_outputs(plant, feedback):
     for k in range(0, len(traj), 40):
         expect = hom_quantize(d, p, traj.states[k])
         assert np.allclose(traj.quantized_states[k], expect, rtol=1e-10, atol=1e-12)
-        u = hom_feedback_eval(feedback, d, traj.quantized_states[k])
+        u = _control(feedback, d, traj.quantized_states[k])
         assert np.allclose(traj.controls[k], u, rtol=1e-9)
 
 
@@ -497,12 +494,148 @@ def test_underflowed_norm_is_the_origin_in_the_loop():
 
 
 def test_row_guard_checks_entries_not_their_sum():
-    """The per-row finiteness guard accepts finite entries whose sum would
-    overflow and rejects any NaN or infinite entry."""
-    from homquant.simulation import _all_finite
-    assert _all_finite(np.array([1.7e308, 1.7e308, -0.0]))
-    for bad in (math.nan, math.inf, -math.inf):
-        assert not _all_finite(np.array([1.0, bad, 1.0]))
+    """The per-row finiteness guard on the control accepts finite entries whose
+    sum would overflow and rejects an infinite entry: under exp(sI) with norm_power
+    1, u = gain @ x, which is (1.7e308, 1.7e308) at x = (1, 0) and inf at (2, 0)."""
+    d = make_dilation(np.eye(2))
+    still = HomPlant(drift=lambda x: np.zeros(2), input_matrix=np.zeros((2, 2)), degree=0.0,
+                     dilation=d)
+    big = HomFeedback(gain=[[1.7e308, 0.0], [1.7e308, 0.0]], norm_power=1.0)
+    traj = simulate(still, big, None, np.array([1.0, 0.0]), 1e-3, 2e-3)
+    assert np.all(traj.controls == 1.7e308)
+    with pytest.raises(NonFiniteStateError) as info:
+        simulate(still, big, None, np.array([2.0, 0.0]), 1e-3, 2e-3)
+    assert len(info.value.trajectory) == 0
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_start_raises_non_finite_state_error(plant, feedback, quantized, bad):
+    """A NaN or infinite start fails at the first stage's solve with no row recorded."""
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3) if quantized else None
+    with pytest.raises(NonFiniteStateError) as info:
+        simulate(plant, feedback, p, np.array([1.0, bad, 0.0]), 1e-3, 2e-3)
+    assert len(info.value.trajectory) == 0
+    assert isinstance(info.value.__cause__, homquant.NonFiniteInputError)
+
+
+# ------------------------------------------------------------ generated kernel
+
+def _chain_plant(n, m):
+    """x1' = x1 xn + (B u)_1 and x_i' = x_(i-1): degree 1 under diag(n, ..., 1), with
+    each of the m inputs on x1, so G B = n B and the loop takes norm_power n + 1."""
+    d = make_dilation(np.diag(np.arange(n, 0, -1.0)))
+    b = np.zeros((n, m))
+    b[0] = [1.0, -0.5][:m]
+    plant = HomPlant(drift=lambda x: np.array([x[0] * x[-1], *x[:-1]]), input_matrix=b,
+                     degree=1.0, dilation=d)
+    gain = [[-(k + 1.0) / (j + 1.0) for k in range(n)] for j in range(m)]
+    return plant, HomFeedback(gain=gain, norm_power=n + 1.0), np.array([1.0, -0.5, 0.7, 0.3][:n])
+
+
+def _reference_rk4(plant, fb, quant, x0, h, steps):
+    """Fixed-step RK4 on numpy arrays, with the feedback built from hom_norm,
+    hom_project and hom_quantize."""
+    d, b = plant.dilation, plant.input_matrix
+
+    def field(x):
+        xq = x if quant is None else hom_quantize(d, quant, x)
+        return np.asarray(plant.drift(x), dtype=float) + b @ _control(fb, d, xq)
+
+    xs = [x0]
+    for _ in range(steps):
+        x = xs[-1]
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        xs.append(x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_matches_a_numpy_rk4_for_every_shape(n, m, quantized):
+    """The kernel generated for n states and m inputs integrates the loop as a
+    numpy RK4 does: nominal rows within 1e-12 relative; every quantized row has
+    the bits of hom_quantize applied to the recorded state."""
+    plant, fb, x0 = _chain_plant(n, m)
+    d = plant.dilation
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=n) if quantized else None
+    traj = simulate(plant, fb, p, x0, 1e-3, 0.2)
+    assert len(traj) == 201
+    if quantized:
+        assert len({tuple(q) for q in traj.quantized_states}) > 1
+        for x, xq in zip(traj.states, traj.quantized_states):
+            assert np.array_equal(xq, hom_quantize(d, p, x))
+    else:
+        ref = _reference_rk4(plant, fb, None, x0, 1e-3, 200)
+        err = np.linalg.norm(traj.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["list", "tuple", "int-array"])
+def test_drift_may_return_a_list_a_tuple_or_an_int_array(kind, feedback):
+    """A drift's output is read as a float array whatever its type."""
+    d = make_dilation(np.diag([3.0, 2.0, 1.0]))
+    if kind == "int-array":  # the zero drift is homogeneous of every degree
+        float_drift, drift = (lambda x: np.zeros(3)), (lambda x: np.zeros(3, dtype=int))
+    else:
+        cast = list if kind == "list" else tuple
+        float_drift, drift = example_plant().drift, (lambda x: cast(example_plant().drift(x)))
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    for quant in (None, p):
+        runs = [simulate(HomPlant(drift=f, input_matrix=[[1.0], [0.0], [0.0]], degree=1.0,
+                                  dilation=d), feedback, quant, [1.0, 1.0, 1.0], 1e-3, 0.1)
+                for f in (float_drift, drift)]
+        for name in ("states", "quantized_states", "controls", "hom_norms"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+@pytest.mark.parametrize("label", ["weighted", "eig"])
+def test_weighted_and_eig_runs_take_the_generated_stage(label, monkeypatch):
+    """A weighted diag and an eig-backend run solve from the same generated stage
+    as the float path, and their recorded norms are the batch solve's to 1e-12."""
+    plant, fb, n, x0 = _exactness_case(label)
+    callers = set()
+    solve = geometry._solve
+
+    def spy(*args):
+        caller = sys._getframe(1).f_code
+        callers.add((caller.co_filename, caller.co_name))
+        return solve(*args)
+
+    monkeypatch.setattr(geometry, "_solve", spy)
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=n)
+    for quant in (None, p):
+        traj = simulate(plant, fb, quant, np.array(x0), 1e-3, 0.2)
+        expect = hom_norm_many(plant.dilation, traj.states)
+        assert np.allclose(traj.hom_norms, expect, rtol=1e-12, atol=0.0)
+    assert callers == {(f"<homquant kernel n={n} m=1>", "stage")}
+
+
+def test_a_drift_error_shows_the_kernel_lines_in_its_traceback():
+    """The generated source is registered in linecache, so a traceback through
+    the kernel names its pseudo-file and shows the line that called the drift."""
+    class DriftFailure(Exception):
+        pass
+
+    armed = []
+
+    def drift(x):
+        if armed:
+            raise DriftFailure("drift failed")
+        return np.zeros(3)
+
+    plant = HomPlant(drift=drift, input_matrix=[[1.0], [0.0], [0.0]], degree=1.0,
+                     dilation=make_dilation(np.diag([3.0, 2.0, 1.0])))
+    armed.append(True)
+    with pytest.raises(DriftFailure) as info:
+        simulate(plant, HomFeedback(gain=GAIN, norm_power=4.0), None, np.ones(3), 1e-3, 0.01)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<homquant kernel n=3 m=1>"' in text and ", in stage" in text
+    assert "asarray(drift(array(x)), dtype=float).tolist()" in text
 
 
 # ------------------------------------------------------------------ reductions
