@@ -74,15 +74,15 @@ def _log_floor(d: Dilation) -> float:
 
 def _solve(d: Dilation, x, s0: float | None = None):
     """Root ``s`` of ``|exp(-s*G) x|_P = 1`` and the unit ``y = exp(-s*G) x`` as a list
-    of floats, from the scalar Newton core of :mod:`~homquant.kernel`.
+    of floats, for ``x`` a sequence of floats or a float array; ``None`` at the origin.
 
-    The core takes the in-range states ``x`` (a sequence of floats or a float array):
+    The scalar Newton core of :mod:`~homquant.kernel` takes the in-range states:
     ``|x|_P`` in the normal range, a bracket whose lower end is at or above
-    :func:`_log_floor` and a root at most ``_LOG_MAX``.  Any other ``x`` gives ``None``.
-    ``s0`` warm-starts the iteration; a guess not strictly inside the global bracket,
-    NaN or infinite included, is replaced by the bracket midpoint.  A diagonal generator
-    under the identity weight is solved on Python floats, any other dilation through
-    :meth:`Dilation.unit_residual` on arrays; the core is bound on a dilation's first solve.
+    :func:`_log_floor` and a root at most ``_LOG_MAX``; ``s0`` warm-starts it, and a guess
+    not strictly inside the bracket, NaN or infinite included, is replaced by its midpoint.
+    It runs on Python floats for a diagonal generator under the identity weight, else
+    through :meth:`Dilation.unit_residual`, and is bound on a dilation's first solve.
+    The batch gate :func:`_solve_many_nonzero` takes every other state, with its errors.
     """
     newton = _NEWTON.get(id(d))
     if newton is None:
@@ -90,7 +90,10 @@ def _solve(d: Dilation, x, s0: float | None = None):
         make = kernel(d.dim, 1, lam is not None)["make_newton"]
         newton = _NEWTON[id(d)] = make(sys.modules[__name__], d, lam, _log_floor(d))
         weakref.finalize(d, _NEWTON.pop, id(d), None)
-    return newton(d, x, s0)
+    if (root := newton(d, x, s0)) is None:
+        _, mask, s, y = _solve_many_nonzero(d, [x])
+        root = (float(s[0]), y[:, 0].tolist()) if mask[0] else None
+    return root
 
 
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,24 +133,8 @@ def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarra
     )
 
 
-def _solve_nonzero(d: Dilation, x, s0: float | None = None):
-    """:func:`_solve` at ``x``, warm-started at ``s0``, or :func:`_solve_row` where it
-    gives ``None``; ``None`` at the origin: ``x = 0``, or ``ln|x|_d`` below the floor."""
-    x = np.asarray(x, dtype=float)
-    root = _solve(d, x, s0)
-    return _solve_row(d, x) if root is None else root
-
-
-def _solve_row(d: Dilation, x: np.ndarray):
-    """:func:`_solve_many_nonzero` on the one row ``x``: ``(s, y)``, or ``None`` at the
-    origin.  Raises :class:`NonFiniteInputError` if ``x`` has a NaN or infinite entry
-    and :class:`NormOverflowError` if its norm exceeds the largest float."""
-    _, mask, s, y = _solve_many_nonzero(d, x[None])
-    return (float(s[0]), y[:, 0].tolist()) if mask[0] else None
-
-
 def _solve_many_nonzero(d: Dilation, xs):
-    """Row-batch twin of :func:`_solve_nonzero`: ``(cols, mask, s, y)`` with the rows
+    """Row-batch twin of :func:`_solve`: ``(cols, mask, s, y)`` with the rows
     of ``xs`` as ``cols`` and ``s, y`` solved on the columns ``mask`` selects.
 
     It takes every state: zero rows and rows below the floor leave ``mask``,
@@ -188,7 +175,7 @@ def _solve_many_nonzero(d: Dilation, xs):
 
 def hom_norm(d: Dilation, x) -> float:
     """Canonical homogeneous norm of ``x``; 0 where ``x = 0`` or ``ln|x|_d`` is below the floor."""
-    root = _solve_nonzero(d, x)
+    root = _solve(d, np.asarray(x, dtype=float))
     return 0.0 if root is None else math.exp(root[0])
 
 
@@ -202,7 +189,7 @@ def hom_norm_many(d: Dilation, xs) -> np.ndarray:
 
 def hom_project(d: Dilation, x) -> np.ndarray:
     """Projection ``exp(-ln|x|_d G) x`` onto the unit sphere of the weighted norm."""
-    root = _solve_nonzero(d, x)
+    root = _solve(d, np.asarray(x, dtype=float))
     if root is None:
         raise ZeroVectorError("cannot project the origin onto the unit sphere")
     return np.asarray(root[1])
@@ -210,7 +197,7 @@ def hom_project(d: Dilation, x) -> np.ndarray:
 
 def phi(d: Dilation, x) -> np.ndarray:
     """Straightening map ``x -> |x|_d * exp(-ln|x|_d G) x``; the origin maps to itself."""
-    root = _solve_nonzero(d, x)
+    root = _solve(d, np.asarray(x, dtype=float))
     if root is None:
         return np.zeros(d.dim)
     s, y = root
@@ -311,7 +298,7 @@ def projection_index(fd: FundamentalDomain, x) -> int:
     """Integer ``k`` with ``rho*nu**-k <= |x|_d < rho*nu**-(k+1)``, ``nu = exp(-step)``,
     so that ``exp(-k*step*G) x`` lies in the domain: minus the radial cell of
     :func:`~homquant.quantizer.log_quantize` with this ``nu`` and ``rho``."""
-    root = _solve_nonzero(fd.dilation, x)
+    root = _solve(fd.dilation, np.asarray(x, dtype=float))
     if root is None:
         raise ZeroVectorError("projection index is undefined at the origin")
     return -_radial_cell(math.exp(-fd.step), fd.rho, math.exp(root[0]))

@@ -90,31 +90,21 @@ def make_newton(geometry, d, lam, floor):
     return newton
 
 
-def make_stage(solve, solve_row, d, drift, gain, b, kappa, quant, log_quantize, edge, encode,
-               decode, decoded_max):
-    """stage(x, s0) -> (xdot, x_hat, u, s) of the closed loop xdot = drift(x) + B u."""
+def make_stage(solve, d, drift, gain, b, kappa, encode):
+    """stage(x, s0) -> (xdot, x_hat, u, s) of xdot = drift(x) + B u under the exact feedback,
+    or under encode(s, y) -> (x_hat, u, B u), or None at the origin, if it is given."""
     rows = iter(gain.tolist())
     <<, g{j}_{k}>>, = next(rows)
     rows = iter(b.tolist())
     <<, b{i}_{l}>>, = next(rows)
     no_control, no_push = (0.0,) * len(gain), (0.0,) * len(b)
-    # The last radial cell [edge(i), edge(i - 1)) and its grid value: neighbouring
-    # cells share one computed edge, so log_quantize puts every r in it in cell i.
-    # And the decoded quantizer symbols (radial value, angle cell) -> (x_hat, u, B u).
-    lo, hi, value = inf, -inf, 0.0
-    decoded = {}
 
     def stage(x, s0):
-        nonlocal lo, hi, value
-        # hom_norm is exp(s), and s is -inf at the origin.  The batch gate takes what
-        # the core does not: it raises on a NaN or infinite x and on a norm past the
-        # largest float.
+        # hom_norm is exp(s), and s is -inf at the origin, where solve gives None.
         root = solve(d, x, s0)
         if root is None:
-            root = solve_row(d, array(x))
-        if root is None:
             s, x_hat, u, push = -inf, x, no_control, no_push
-        elif quant is None:
+        elif encode is None:
             s, y = root
             <<, y{k}>>, = y
             e = exp(s * kappa)
@@ -122,20 +112,7 @@ def make_stage(solve, solve_row, d, drift, gain, b, kappa, quant, log_quantize, 
             x_hat, u, push = x, (<<, u{l}>>,), (<<, <<+ b{k}_{l} * u{l}>>>>,)
         else:
             s, y = root
-            r = exp(s)
-            if not lo <= r < hi:
-                value, i = log_quantize(quant, r)
-                lo, hi = edge(quant.nu, quant.rho, i), edge(quant.nu, quant.rho, i - 1)
-            x_hat, u, push = x, no_control, no_push
-            # A grid value that underflows to 0.0 is the origin.
-            if value > 0.0:
-                symbol = (value, *encode(d, quant, y))
-                entry = decoded.get(symbol)
-                if entry is None:
-                    if len(decoded) >= decoded_max:
-                        decoded.clear()
-                    entry = decoded[symbol] = decode(value, y)
-                x_hat, u, push = entry
+            x_hat, u, push = encode(s, y) or (x, no_control, no_push)
         <<, p{k}>>, = push
         <<, f{k}>>, = asarray(drift(array(x)), dtype=float).tolist()
         return (<<, f{k} + p{k}>>,), x_hat, u, s

@@ -24,11 +24,14 @@ import numpy as np
 from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
                      NormOverflowError, NotOnSphereError, UnsupportedDimensionError)
-from .geometry import (_LOG_SAFE, _apply_unit, _by_value, _radial_cell, _radial_cells,
-                       _solve_many_nonzero, _solve_nonzero)
+from .geometry import (_LOG_SAFE, _apply_unit, _by_value, _edge, _radial_cell, _radial_cells,
+                       _solve, _solve_many_nonzero)
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
+# Decoded symbols kept per encoder; a fine angle grid can give every call a new
+# symbol, and the table then starts over.
+_DECODED_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,15 @@ class QuantizerParams:
 def _check_dim(d: Dilation, p: QuantizerParams) -> None:
     if p.dim != d.dim:
         raise UnsupportedDimensionError(f"quantizer for dim {p.dim} under a dim {d.dim} dilation")
+
+
+def _as_vectors(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
+    """``u`` as a float array of ``d.dim``-vectors along its last axis, for ``p.dim == d.dim``."""
+    _check_dim(d, p)
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (d.dim,):
+        raise UnsupportedDimensionError(f"vectors of shape {u.shape} under a dim {d.dim} dilation")
+    return u
 
 
 def _grid_value(p: QuantizerParams, i: int) -> float:
@@ -183,8 +195,7 @@ def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
     the weighted unit sphere.  Seeds reproduce themselves whenever
     ``delta_angle`` divides ``pi``.
     """
-    _check_dim(d, p)
-    q = [k * p.delta_angle for k in _spherical_cell(d, p, np.asarray(u, dtype=float))]
+    q = [k * p.delta_angle for k in _spherical_cell(d, p, _as_vectors(d, p, u))]
     q[-1] = q[-1] % (2.0 * math.pi)
     return unit_from_angles(d, q)
 
@@ -193,8 +204,7 @@ def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
     """Row-batch twin of :func:`spherical_quantize`: row ``j`` of the result is
     ``spherical_quantize(d, p, us[j])``; one row off the sphere raises
     :class:`NotOnSphereError`."""
-    _check_dim(d, p)
-    w = d.to_euclidean(np.asarray(us, dtype=float).T)
+    w = d.to_euclidean(_as_vectors(d, p, us).T)
     n = w.shape[0]
     if n < 2:
         raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
@@ -217,11 +227,42 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x) -> np.ndarray:
     angular rounding of the unit projection; the origin is a fixed point.
     Raises :class:`NormOverflowError` where the output is past the largest float."""
     _check_dim(d, p)
-    root = _solve_nonzero(d, x)
+    root = _solve(d, np.asarray(x, dtype=float))
     value = 0.0 if root is None else log_quantize(p, math.exp(root[0]))[0]
     if value == 0.0:  # the origin, or a grid value nu**i * xi0 that underflows to 0.0
         return np.zeros(d.dim)
     return _apply_unit(d, math.log(value), spherical_quantize(d, p, root[1]))
+
+
+def _encoder(d: Dilation, p: QuantizerParams, finish, radial, spherical):
+    """``encode(s, y) -> (x_hat, *finish(value, seed))`` of the closed loop's quantizer at
+    the state ``exp(s*G) y``: ``value, _ = radial(p, exp(s))``, ``seed = spherical(d, p, y)``
+    and ``x_hat = exp(ln(value)*G) seed``; ``None`` where ``value`` underflows to 0.0.
+    ``radial`` runs only when ``exp(s)`` leaves the last radial cell (neighbouring cells
+    share one computed edge), and each symbol ``(value, *angle cells)`` is decoded once, in
+    a table that starts over at ``_DECODED_MAX`` entries."""
+    _check_dim(d, p)
+    lo, hi, value = math.inf, -math.inf, 0.0
+    decoded = {}
+
+    def encode(s, y):
+        nonlocal lo, hi, value
+        r = math.exp(s)
+        if not lo <= r < hi:
+            value, i = radial(p, r)
+            lo, hi = _edge(p.nu, p.rho, i), _edge(p.nu, p.rho, i - 1)
+        if value == 0.0:
+            return None
+        symbol = (value, *_spherical_cell(d, p, y))
+        entry = decoded.get(symbol)
+        if entry is None:
+            if len(decoded) >= _DECODED_MAX:
+                decoded.clear()
+            seed = spherical(d, p, y)
+            entry = decoded[symbol] = (_apply_unit(d, math.log(value), seed).tolist(),
+                                       *finish(value, seed))
+        return entry
+    return encode
 
 
 def hom_quantize_many(d: Dilation, p: QuantizerParams, xs) -> np.ndarray:

@@ -18,19 +18,14 @@ import numpy as np
 from .checks import SampleSpec, check_field_homogeneity
 from .dilation import Dilation, make_dilation
 from .errors import (DegreeMismatchError, EmptyTrajectoryError, NonFiniteInputError,
-                     NonFiniteStateError)
-from . import geometry
-from .geometry import _apply_unit, _edge, _solve_row
+                     NonFiniteStateError, UnsupportedDimensionError)
+from . import geometry, quantizer
 from .kernel import kernel
-from .quantizer import (QuantizerParams, _check_dim, _spherical_cell, log_quantize,
-                        spherical_quantize)
+from .quantizer import QuantizerParams, log_quantize, spherical_quantize
 
 # Sampling plan for the construction-time homogeneity audit of a plant drift.
 _DRIFT_AUDIT = SampleSpec(count=128, radius_range=(0.25, 4.0), seed=7)
 _DRIFT_AUDIT_TOL = 1e-6
-# Decoded quantizer symbols kept per simulate call; a fine angle grid can
-# give every stage a new symbol, and the table then starts over.
-_DECODED_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,8 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     any derived quantity aborts with :class:`NonFiniteStateError` carrying the
     (entirely finite) rows recorded so far.
     """
-    if quant is not None:
-        if not isinstance(quant, QuantizerParams):
-            raise TypeError(f"quant must be QuantizerParams or None, got {type(quant).__name__}")
-        _check_dim(plant.dilation, quant)
+    if quant is not None and not isinstance(quant, QuantizerParams):
+        raise TypeError(f"quant must be QuantizerParams or None, got {type(quant).__name__}")
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("step size must be positive and finite")
     if not (t_end >= h and math.isfinite(t_end)):
@@ -146,28 +139,28 @@ def simulate(plant: HomPlant, fb: HomFeedback,
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
 
-    d = plant.dilation
-    b = plant.input_matrix
-    m = fb.gain.shape[0]
-    kappa = fb.norm_power
-    gain = fb.gain
+    d, b = plant.dilation, plant.input_matrix
+    gain, kappa = fb.gain, fb.norm_power
+    m = len(gain)
+    if gain.shape != (b.shape[1], n):
+        raise UnsupportedDimensionError(f"gain of shape {gain.shape} does not fit the input "
+                                        f"matrix of shape {b.shape}: it needs {(b.shape[1], n)}")
     # The loop is homogeneous iff the gain is zero or G B = (norm_power - degree) B.
     gb = d.generator @ b
     if np.any(gain) and np.max(np.abs(gb - (kappa - plant.degree) * b)) > 1e-12 * np.max(np.abs(gb)):
         raise DegreeMismatchError(f"norm_power {kappa:g} does not match the plant: the closed loop "
                                   f"is homogeneous only if G B = (norm_power - {plant.degree:g}) B")
 
-    def decode(value, y):
-        # (x_hat, u, B u) of a new quantizer symbol: the quantized state has the
-        # homogeneous norm `value` by construction.
-        seed = spherical_quantize(d, quant, y)
+    def finish(value, seed):
+        # (u, B u) of a new quantizer symbol, whose state has the homogeneous norm `value`.
         u = value ** kappa * gain.dot(seed)
-        return _apply_unit(d, math.log(value), seed).tolist(), u.tolist(), b.dot(u).tolist()
+        return u.tolist(), b.dot(u).tolist()
 
+    # Looked up per run, so a wrapper on geometry._solve or on a quantizer here is seen.
+    encode = None if quant is None else quantizer._encoder(d, quant, finish, log_quantize,
+                                                           spherical_quantize)
     code = kernel(n, m, True)
-    # geometry._solve is looked up per run, so a wrapper installed on the module is seen.
-    stage = code["make_stage"](geometry._solve, _solve_row, d, plant.drift, gain, b, kappa, quant,
-                               log_quantize, _edge, _spherical_cell, decode, _DECODED_MAX)
+    stage = code["make_stage"](geometry._solve, d, plant.drift, gain, b, kappa, encode)
     steps = int(round(t_end / h))
     # States, quantized states, controls and homogeneous norms, row after row.
     rows = tuple(array("d") for _ in range(4))

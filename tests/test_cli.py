@@ -198,6 +198,19 @@ def test_simulate_wrong_norm_power_exits_4(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_simulate_gain_of_the_wrong_shape_exits_4(tmp_path, capsys):
+    """A two-row gain against the plant's one input is a usage error: exit 4,
+    one line naming both shapes, and no CSV."""
+    cfg_path = tmp_path / "run.cfg"
+    out_path = tmp_path / "traj.csv"
+    cfg_path.write_text(MINIMAL.replace("gain = -5.5055 -15.8387 -16.3807", "gain = 1 2 3; 0 0 0")
+                        + "t_end = 0.05\nstep = 0.01\n")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 4
+    line = _error_line(capsys)
+    assert line.startswith("error: gain of shape (2, 3)") and "(3, 1)" in line
+    assert not out_path.exists()
+
+
 def test_simulate_requires_3x3_generator(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

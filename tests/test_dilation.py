@@ -364,6 +364,43 @@ def test_no_other_module_reads_private_dilation_names():
     assert reads == []
 
 
+# The private names each module of the package reads from another one, by
+# `from .module import _name` or as `module._name`; any other module reads none.
+_PRIVATE_READS = {
+    "simulation": {"geometry._solve", "quantizer._encoder"},
+    "quantizer": {f"geometry.{name}" for name in (
+        "_LOG_SAFE", "_apply_unit", "_by_value", "_edge", "_radial_cell", "_radial_cells",
+        "_solve", "_solve_many_nonzero")},
+    "cli": {"geometry._apply_unit"},
+    "suites": {"checks._sample_off_boundary", "geometry._radial_cells"},
+}
+
+
+def test_private_names_read_across_modules():
+    """Each cross-module read of a private name is listed in _PRIVATE_READS, so
+    a new one shows up as an edit to that table."""
+    paths = sorted(Path(homquant.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    reads = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases, found = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif node.module in modules and alias.name.startswith("_"):
+                        found.add(f"{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                found.add(f"{aliases[node.value.id]}.{node.attr}")
+        if found:
+            reads[path.stem] = found
+    assert reads == _PRIVATE_READS
+
+
 # ----------------------------------------------------------------- gain bounds
 
 @pytest.mark.parametrize("label", sorted(GENERATORS))

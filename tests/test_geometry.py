@@ -174,6 +174,42 @@ def test_solve_warm_start_honours_max_iter(label, monkeypatch):
             _solve(d, x, s0)
 
 
+# The float route of the scalar solve and two array routes.  A quarter of each
+# generator puts the norm of (1e150, ..., 1e150) past the largest float while
+# its |x|_P stays finite; under diag(3, 2, 1) and the identity weight no finite
+# state has a norm past it.
+_SOLVE_ROUTES = {
+    "diag321": (GENERATORS["diag321"], None),
+    "diag321-weighted": WARM_START_DILATIONS["diag321-weighted"][:2],
+    "rotate2": (GENERATORS["rotate2"], None),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label", sorted(_SOLVE_ROUTES))
+def test_solve_takes_every_state(label):
+    """_solve gives the Newton core's root in range, the batch gate's row outside
+    it, None only at the origin, and the gate's errors."""
+    gen, weight = _SOLVE_ROUTES[label]
+    d = make_dilation(gen, weight)
+    x = np.array([0.3, -1.2, 0.7])[:d.dim]
+    root = _solve(d, x)
+    assert root == geometry._NEWTON[id(d)](d, x, None) and root is not None
+    tiny = x * 1e-160
+    assert d.weighted_norm(tiny) < geometry._NORM_MIN
+    assert geometry._NEWTON[id(d)](d, tiny, None) is None
+    _, mask, s, y = geometry._solve_many_nonzero(d, tiny[None])
+    assert mask[0] and _solve(d, tiny) == (s[0], y[:, 0].tolist())
+    assert math.exp(s[0]) == pytest.approx(hom_norm_many(d, tiny[None])[0], rel=1e-15, abs=0.0)
+    u = x / d.weighted_norm(x)
+    assert _solve(d, np.zeros(d.dim)) is None
+    assert _solve(d, d.apply(geometry._log_floor(d) - 5.0, u)) is None
+    with pytest.raises(NonFiniteInputError):
+        _solve(d, np.array([math.nan, *x[1:]]))
+    with pytest.raises(NormOverflowError):
+        _solve(make_dilation(0.25 * np.asarray(gen), weight), np.full(d.dim, 1e150))
+
+
 # Ceiling on the Newton evaluations of one block of 8192 columns, per dilation.
 _EVALUATIONS_PER_BLOCK = {"diag321-weighted": 6, "jordan2": 6, "rotate2": 8}
 

@@ -204,6 +204,20 @@ def test_quantizer_rejects_params_of_another_dimension(diag321):
         assert isinstance(info.value, HomquantError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("weight", [None, [[2.0, 0.4, 0.0], [0.4, 1.5, 0.0], [0.0, 0.0, 1.0]]],
+                         ids=["identity", "weighted"])
+def test_spherical_quantizers_reject_vectors_of_another_length(weight):
+    """A 2-vector under a 3-dim dilation is an error, not a 2-vector result
+    (identity weight) or a bare numpy matmul error (weighted)."""
+    d = make_dilation(np.diag([3.0, 2.0, 1.0]), weight)
+    p = QuantizerParams(nu=0.7, delta_angle=0.3, dim=3)
+    for call, u in ((spherical_quantize, [1.0, 0.0]),
+                    (spherical_quantize_many, [[1.0, 0.0], [0.0, 1.0]]),
+                    (spherical_quantize_many, [[1.0, 0.0, 0.0, 0.0]])):
+        with pytest.raises(UnsupportedDimensionError, match="dim 3 dilation"):
+            call(d, p, u)
+
+
 # -------------------------------------------------------- spherical coordinates
 
 def test_spherical_planar_examples():

@@ -130,6 +130,18 @@ def test_simulate_rejects_quantizer_of_another_dimension(plant, feedback):
             simulate(plant, feedback, p, x0, 1e-3, 1e-2)
 
 
+@pytest.mark.parametrize("gain", [[[1.0, 2.0]], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]],
+                         ids=["2-columns", "2-rows"])
+def test_simulate_rejects_a_gain_of_the_wrong_shape(plant, gain):
+    """The gain must be (inputs, states) = (1, 3): another shape fails up front,
+    naming both shapes, not inside the generated stage."""
+    fb = HomFeedback(gain=gain, norm_power=4.0)
+    for quant in (None, QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)):
+        with pytest.raises(UnsupportedDimensionError) as info:
+            simulate(plant, fb, quant, [1.0, 1.0, 1.0], 1e-3, 1e-2)
+        assert f"{fb.gain.shape}" in str(info.value) and "(3, 1)" in str(info.value)
+
+
 @pytest.mark.parametrize("quantized", [False, True], ids=["nominal", "quantized"])
 def test_simulate_rejects_a_feedback_of_the_wrong_degree(plant, quantized):
     """The benchmark loop is homogeneous only at norm_power = 3 + 1 = 4, since
@@ -378,11 +390,11 @@ def test_quantized_rows_equal_the_scalar_quantizer(plant, feedback, h, t_end):
 def test_decoded_symbol_table_starts_over_when_full(plant, feedback, monkeypatch):
     """A run that fills the table of decoded symbols again and again gives
     the bits of a run that never does."""
-    import homquant.simulation as simulation
+    import homquant.quantizer as quantizer
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
     x0 = np.array([1.0, 1.0, 1.0])
     expect = simulate(plant, feedback, p, x0, 1e-3, 0.4)
-    monkeypatch.setattr(simulation, "_DECODED_MAX", 2)
+    monkeypatch.setattr(quantizer, "_DECODED_MAX", 2)
     traj = simulate(plant, feedback, p, x0, 1e-3, 0.4)
     for name in ("states", "quantized_states", "controls", "hom_norms"):
         assert np.array_equal(getattr(traj, name), getattr(expect, name))
