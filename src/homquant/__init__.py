@@ -12,7 +12,6 @@ from .checks import (
     check_field_homogeneity,
     check_hom_sector,
     check_quantizer_discrete_homogeneity,
-    ratio_bounds_on_domain,
     sample_directions,
     sample_states,
 )
@@ -32,7 +31,6 @@ from .errors import (
     NoConvergenceError,
     NonFiniteInputError,
     NonFiniteStateError,
-    NonPositiveFunctionError,
     NormOverflowError,
     NotMonotoneError,
     NotOnSphereError,
@@ -43,16 +41,12 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import (
-    FundamentalDomain,
-    distance_bound_alpha1,
     hom_norm,
     hom_norm_many,
     hom_project,
     phi,
     phi_inv,
     phi_many,
-    projection_index,
-    tilde_scale,
 )
 from .quantizer import (
     QuantizerParams,

@@ -10,13 +10,13 @@ residuals bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dilation import Dilation, EIG_TOL
-from .errors import NonPositiveFunctionError, NotPositiveDefiniteError, NotSymmetricError
-from .geometry import FundamentalDomain, phi_many
+from .errors import NotPositiveDefiniteError, NotSymmetricError
+from .geometry import phi_many
 from .quantizer import QuantizerParams, hom_quantize_many, to_spherical
 
 _RESIDUAL_FLOOR = 1e-12
@@ -192,22 +192,3 @@ def check_hom_sector(phi_map, d: Dilation, sector: SectorSpec, spec: SampleSpec)
     b = pf - px @ sector.k2.T
     vals = np.einsum("ij,ij->i", a, (d.weight @ b.T).T)
     return float(np.max(vals))
-
-
-def ratio_bounds_on_domain(f1, nu1: float, f2, nu2: float, fd: FundamentalDomain,
-                           spec: SampleSpec) -> tuple[float, float]:
-    """Sampled extremes of ``f2 / f1^(nu2/nu1)`` over the fundamental domain.
-
-    ``f1`` must be positive at every sample; otherwise
-    :class:`NonPositiveFunctionError` is raised.
-    """
-    if not (nu1 > 0 and nu2 > 0):
-        raise ValueError("homogeneity degrees must be positive")
-    zs = sample_states(fd.dilation, replace(spec, radius_range=(fd.rho, fd.rho * math.exp(fd.step))))
-    v1 = np.array([float(f1(z)) for z in zs])
-    if np.any(v1 <= 0):
-        bad = zs[int(np.argmax(v1 <= 0))]
-        raise NonPositiveFunctionError(f"f1 is not positive at sample {bad}")
-    v2 = np.array([float(f2(z)) for z in zs])
-    ratios = v2 / v1 ** (nu2 / nu1)
-    return float(np.min(ratios)), float(np.max(ratios))

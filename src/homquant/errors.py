@@ -51,10 +51,6 @@ class DegreeMismatchError(HomquantError, ValueError):
     """A feedback's degree does not match the plant's, so the closed loop is not homogeneous."""
 
 
-class NonPositiveFunctionError(HomquantError, ValueError):
-    """A function required to be positive on the sample set was not."""
-
-
 class NonFiniteStateError(HomquantError, ArithmeticError):
     """Integration produced a NaN or infinite coordinate.
 

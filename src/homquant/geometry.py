@@ -7,10 +7,10 @@ found by a bracketed Newton iteration with bisection fallback.  The bracket
 comes from the growth exponents of the dilation.
 
 ``phi`` straightens the dilation geometry: it maps ``x`` to
-``|x|_d * exp(-ln|x|_d G) x`` and sends the origin to itself.  The sum on the
-homogeneous space is ``phi_inv(phi(x) + phi(y))`` and its inner product is
-``<phi(x), phi(y)>_P``: norms and inner products of straightened vectors
-always use the weight matrix of the dilation.
+``|x|_d * exp(-ln|x|_d G) x`` and sends the origin to itself.  The sum on the homogeneous
+space is ``phi_inv(phi(x) + phi(y))``, its scalar action is ``phi_inv(lam * phi(x))`` and
+its inner product is ``<phi(x), phi(y)>_P``: norms and inner products of straightened
+vectors always use the weight matrix of the dilation.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dilation import Dilation
 from .errors import (
-    NegativeInputError,
     NoConvergenceError,
     NonFiniteInputError,
     NormOverflowError,
+    UnsupportedDimensionError,
     ZeroVectorError,
 )
 from .kernel import kernel
@@ -51,19 +50,13 @@ _BLOCK = 8192
 _NEWTON: dict = {}
 
 
-@dataclass(frozen=True)
-class FundamentalDomain:
-    """Annulus ``rho <= |x|_d < rho * exp(step)`` of ``{exp(k*step*G) : k integer}``."""
-
-    dilation: Dilation
-    step: float
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be finite and positive")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be finite and positive")
+def _as_states(d: Dilation, x, batch: bool = False) -> np.ndarray:
+    """``x`` as a float array of shape ``(d.dim,)``, or ``(k, d.dim)`` for a ``batch``;
+    :class:`UnsupportedDimensionError` for any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[batch:] != (d.dim,):
+        raise UnsupportedDimensionError(f"state of shape {x.shape} under a dim {d.dim} dilation")
+    return x
 
 
 def _log_floor(d: Dilation) -> float:
@@ -140,7 +133,7 @@ def _solve_many_nonzero(d: Dilation, xs):
     It takes every state: zero rows and rows below the floor leave ``mask``,
     and ``log|x|_P`` outside the normal range is taken on ``x / max|x_i|``.
     """
-    cols = np.asarray(xs, dtype=float).T
+    cols = _as_states(d, xs, batch=True).T
     nrm = d.weighted_norms(cols)
     # |x|_P past the normal range: under it, or NaN or infinite from a NaN or
     # infinite entry or from an overflow (to inf, or to NaN as inf - inf).
@@ -175,7 +168,7 @@ def _solve_many_nonzero(d: Dilation, xs):
 
 def hom_norm(d: Dilation, x) -> float:
     """Canonical homogeneous norm of ``x``; 0 where ``x = 0`` or ``ln|x|_d`` is below the floor."""
-    root = _solve(d, np.asarray(x, dtype=float))
+    root = _solve(d, _as_states(d, x))
     return 0.0 if root is None else math.exp(root[0])
 
 
@@ -189,7 +182,7 @@ def hom_norm_many(d: Dilation, xs) -> np.ndarray:
 
 def hom_project(d: Dilation, x) -> np.ndarray:
     """Projection ``exp(-ln|x|_d G) x`` onto the unit sphere of the weighted norm."""
-    root = _solve(d, np.asarray(x, dtype=float))
+    root = _solve(d, _as_states(d, x))
     if root is None:
         raise ZeroVectorError("cannot project the origin onto the unit sphere")
     return np.asarray(root[1])
@@ -197,11 +190,8 @@ def hom_project(d: Dilation, x) -> np.ndarray:
 
 def phi(d: Dilation, x) -> np.ndarray:
     """Straightening map ``x -> |x|_d * exp(-ln|x|_d G) x``; the origin maps to itself."""
-    root = _solve(d, np.asarray(x, dtype=float))
-    if root is None:
-        return np.zeros(d.dim)
-    s, y = root
-    return math.exp(s) * np.asarray(y)
+    root = _solve(d, _as_states(d, x))
+    return np.zeros(d.dim) if root is None else math.exp(root[0]) * np.asarray(root[1])
 
 
 def _apply_unit(d: Dilation, s: float, u: np.ndarray) -> np.ndarray:
@@ -220,8 +210,9 @@ def _apply_unit(d: Dilation, s: float, u: np.ndarray) -> np.ndarray:
 def phi_inv(d: Dilation, z) -> np.ndarray:
     """Inverse straightening map ``z -> exp(ln|z|_P G) z / |z|_P``, zero where ``ln|z|_P = ln|x|_d``
     is below the floor; raises :class:`NormOverflowError` past the largest float."""
-    z = np.asarray(z, dtype=float)
-    nrm = d.weighted_norm(z)
+    z = _as_states(d, z)
+    with np.errstate(over="ignore"):  # |z|_P past the largest float is taken below
+        nrm = d.weighted_norm(z)
     c = 1.0
     if not _NORM_MIN <= nrm < math.inf:  # take |z|_P on z / max|z_i|
         if not np.all(np.isfinite(z)):
@@ -247,103 +238,3 @@ def phi_many(d: Dilation, xs) -> np.ndarray:
     out = np.zeros_like(cols, dtype=float)
     out[:, mask] = np.exp(s) * y
     return out.T
-
-
-def _by_value(fn, a: np.ndarray, *args) -> np.ndarray:
-    """The Python function ``fn(*args, v)`` at every entry ``v`` of ``a``, evaluated
-    once per distinct value, so that each entry has the bits of the scalar call."""
-    vals, inv = np.unique(a, return_inverse=True)
-    return np.array([fn(*args, v) for v in vals.tolist()])[inv].reshape(a.shape)
-
-
-def _edge(nu: float, rho: float, i: int) -> float:
-    """Lower edge ``rho * nu**i`` of radial cell ``i``; ``inf`` past the largest float."""
-    try:
-        return rho * nu ** i
-    except OverflowError:
-        return math.inf
-
-
-def _radial_cell(nu: float, rho: float, r: float) -> int:
-    """Index ``i`` of the radial cell ``[rho*nu**i, rho*nu**(i-1))``, an annulus of the
-    group ``{nu**k}``, holding the finite ``r > 0``.  Neighbouring cells share one computed
-    edge, so they tile ``(0, inf)`` and ``i`` is the least index whose edge is at most ``r``.
-    The closed form misses it only at an edge or among subnormal edges: then bisect."""
-    i = 0
-    try:
-        i = math.ceil(math.log(r / rho) / math.log(nu))
-        if rho * nu ** i <= r < rho * nu ** (i - 1):
-            return i
-    except (ValueError, OverflowError):
-        pass  # r / rho or an edge is past the float range: search from i
-    w = 1  # the edges reach inf and 0, so the widening ends
-    while not _edge(nu, rho, i - w) > r >= _edge(nu, rho, i + w):
-        w *= 2
-    lo, hi = i - w, i + w
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _edge(nu, rho, mid) <= r else (mid, hi)
-    return hi
-
-
-def _radial_cells(nu: float, rho: float, r: np.ndarray) -> np.ndarray:
-    """:func:`_radial_cell` of every entry of ``r``, as integers."""
-    i = np.ceil((np.log(r) - math.log(rho)) / math.log(nu)).astype(np.int64)
-    miss = ~((_by_value(_edge, i, nu, rho) <= r) & (r < _by_value(_edge, i - 1, nu, rho)))
-    i[miss] = [_radial_cell(nu, rho, v) for v in r[miss].tolist()]
-    return i
-
-
-def projection_index(fd: FundamentalDomain, x) -> int:
-    """Integer ``k`` with ``rho*nu**-k <= |x|_d < rho*nu**-(k+1)``, ``nu = exp(-step)``,
-    so that ``exp(-k*step*G) x`` lies in the domain: minus the radial cell of
-    :func:`~homquant.quantizer.log_quantize` with this ``nu`` and ``rho``."""
-    root = _solve(fd.dilation, np.asarray(x, dtype=float))
-    if root is None:
-        raise ZeroVectorError("projection index is undefined at the origin")
-    return -_radial_cell(math.exp(-fd.step), fd.rho, math.exp(root[0]))
-
-
-def tilde_scale(d: Dilation, lam: float, x) -> np.ndarray:
-    """Scalar action: ``sign(lam) * exp(ln|lam| G) x``; ``lam = 0`` gives the origin.
-    Raises :class:`NormOverflowError` where the result is past the largest float."""
-    lam = float(lam)
-    x = np.asarray(x, dtype=float)
-    if not (math.isfinite(lam) and np.all(np.isfinite(x))):
-        raise NonFiniteInputError("scalar or state has a NaN or infinite entry")
-    if lam == 0.0:
-        return np.zeros(d.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = d.apply(math.log(abs(lam)), x)
-    if not np.all(np.isfinite(scaled)):
-        raise NormOverflowError("the scaled state exceeds the largest float")
-    return scaled if lam > 0 else -scaled
-
-
-def distance_bound_alpha1(d: Dilation, vartheta: float) -> float:
-    """Upper bound on ``|y -~ x|_d^2 / |x|_d^2`` in terms of the straightened gap.
-
-    ``vartheta`` is ``|phi(y) - phi(x)|_P / |phi(x)|_P``.  The bound composes
-    the generator gain with the norm-comparison exponents; the decreasing
-    branch saturates once ``vartheta >= 1``.  Raises :class:`NormOverflowError`
-    where the bound exceeds the largest float, and :class:`NonFiniteInputError`
-    on a NaN or infinite ``vartheta``.
-    """
-    vartheta = float(vartheta)
-    if not math.isfinite(vartheta):
-        raise NonFiniteInputError(f"vartheta must be finite, got {vartheta!r}")
-    if vartheta < 0:
-        raise NegativeInputError("vartheta must be nonnegative")
-    e_lo, e_hi = d.eta_min, d.eta_max
-    gnorm = float(np.linalg.norm(d.to_euclidean(d.generator) @ d.from_euclidean(np.eye(d.dim)), 2))
-    try:
-        grow = ((vartheta + 1.0) ** e_hi - 1.0) / e_hi
-        shrink = (1.0 - max(1.0 - vartheta, 0.0) ** e_lo) / e_lo
-        gap = gnorm * max(grow, shrink) + 2.0 * vartheta
-        bound = max(gap ** (1.0 / e_hi), gap ** (1.0 / e_lo)) ** 2
-    except OverflowError:
-        bound = math.inf
-    if bound == math.inf:
-        raise NormOverflowError("the distance bound exceeds the largest float")
-    return bound
-

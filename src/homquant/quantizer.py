@@ -15,6 +15,7 @@ commutes with dilations whose parameter is an integer multiple of ``-ln(nu)``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,14 +25,21 @@ import numpy as np
 from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
                      NormOverflowError, NotOnSphereError, UnsupportedDimensionError)
-from .geometry import (_LOG_SAFE, _apply_unit, _by_value, _edge, _radial_cell, _radial_cells,
-                       _solve, _solve_many_nonzero)
+from .geometry import _LOG_SAFE, _apply_unit, _as_states, _solve, _solve_many_nonzero
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
 # Decoded symbols kept per encoder; a fine angle grid can give every call a new
 # symbol, and the table then starts over.
 _DECODED_MAX = 4096
+
+
+def _integer_dim(dim) -> int:
+    """``dim`` as an ``int``; :class:`UnsupportedDimensionError` where it is not an integer."""
+    try:
+        return operator.index(dim)
+    except TypeError:
+        raise UnsupportedDimensionError(f"dim must be an integer, got {dim!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,7 @@ class QuantizerParams:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not (0.0 < self.delta_angle <= math.pi):
             raise ValueError(f"delta_angle must lie in (0, pi], got {self.delta_angle}")
-        if self.dim < 1:
+        if _integer_dim(self.dim) < 1:
             raise ValueError("dim must be a positive integer")
         if self.xi0 is None:
             object.__setattr__(self, "xi0", 2.0 / (1.0 + self.nu))
@@ -86,13 +94,55 @@ def _check_dim(d: Dilation, p: QuantizerParams) -> None:
         raise UnsupportedDimensionError(f"quantizer for dim {p.dim} under a dim {d.dim} dilation")
 
 
-def _as_vectors(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
-    """``u`` as a float array of ``d.dim``-vectors along its last axis, for ``p.dim == d.dim``."""
+def _as_vectors(d: Dilation, p: QuantizerParams, u, batch: bool = False) -> np.ndarray:
+    """:func:`~homquant.geometry._as_states` of ``u``, for ``p.dim == d.dim``."""
     _check_dim(d, p)
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (d.dim,):
-        raise UnsupportedDimensionError(f"vectors of shape {u.shape} under a dim {d.dim} dilation")
-    return u
+    return _as_states(d, u, batch)
+
+
+def _by_value(fn, a: np.ndarray, *args) -> np.ndarray:
+    """The Python function ``fn(*args, v)`` at every entry ``v`` of ``a``, evaluated
+    once per distinct value, so that each entry has the bits of the scalar call."""
+    vals, inv = np.unique(a, return_inverse=True)
+    return np.array([fn(*args, v) for v in vals.tolist()])[inv].reshape(a.shape)
+
+
+def _edge(nu: float, rho: float, i: int) -> float:
+    """Lower edge ``rho * nu**i`` of radial cell ``i``; ``inf`` past the largest float."""
+    try:
+        return rho * nu ** i
+    except OverflowError:
+        return math.inf
+
+
+def _radial_cell(nu: float, rho: float, r: float) -> int:
+    """Index ``i`` of the radial cell ``[rho*nu**i, rho*nu**(i-1))``, an annulus of the
+    group ``{nu**k}``, holding the finite ``r > 0``.  Neighbouring cells share one computed
+    edge, so they tile ``(0, inf)`` and ``i`` is the least index whose edge is at most ``r``.
+    The closed form misses it only at an edge or among subnormal edges: then bisect."""
+    i = 0
+    try:
+        i = math.ceil(math.log(r / rho) / math.log(nu))
+        if rho * nu ** i <= r < rho * nu ** (i - 1):
+            return i
+    except (ValueError, OverflowError):
+        pass  # r / rho or an edge is past the float range: search from i
+    w = 1  # the edges reach inf and 0, so the widening ends
+    while not _edge(nu, rho, i - w) > r >= _edge(nu, rho, i + w):
+        w *= 2
+    lo, hi = i - w, i + w
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _edge(nu, rho, mid) <= r else (mid, hi)
+    return hi
+
+
+def _radial_cells(nu: float, rho: float, r: np.ndarray) -> np.ndarray:
+    """:func:`_radial_cell` of every entry of ``r``, as integers."""
+    i = np.ceil((np.log(r) - math.log(rho)) / math.log(nu)).astype(np.int64)
+    miss = ~((_by_value(_edge, i, nu, rho) <= r) & (r < _by_value(_edge, i - 1, nu, rho)))
+    i[miss] = [_radial_cell(nu, rho, v) for v in r[miss].tolist()]
+    return i
 
 
 def _grid_value(p: QuantizerParams, i: int) -> float:
@@ -161,7 +211,9 @@ def to_spherical(y) -> tuple[float, np.ndarray]:
 
 
 def unit_from_angles(d: Dilation, angles) -> np.ndarray:
-    """Weighted-unit vector whose angles, in :meth:`Dilation.to_euclidean` terms, are ``angles``."""
+    """Weighted-unit vector whose ``d.dim - 1`` angles in ``P^{1/2}`` terms are ``angles``."""
+    if len(angles) != d.dim - 1:
+        raise UnsupportedDimensionError(f"{len(angles)} angles under a dim {d.dim} dilation")
     y, running = [], 1.0
     for a in angles:
         y.append(running * math.cos(a))
@@ -204,7 +256,7 @@ def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
     """Row-batch twin of :func:`spherical_quantize`: row ``j`` of the result is
     ``spherical_quantize(d, p, us[j])``; one row off the sphere raises
     :class:`NotOnSphereError`."""
-    w = d.to_euclidean(_as_vectors(d, p, us).T)
+    w = d.to_euclidean(_as_vectors(d, p, us, batch=True).T)
     n = w.shape[0]
     if n < 2:
         raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
@@ -226,8 +278,7 @@ def hom_quantize(d: Dilation, p: QuantizerParams, x) -> np.ndarray:
     """Composed state quantizer: radial rounding of the homogeneous norm and
     angular rounding of the unit projection; the origin is a fixed point.
     Raises :class:`NormOverflowError` where the output is past the largest float."""
-    _check_dim(d, p)
-    root = _solve(d, np.asarray(x, dtype=float))
+    root = _solve(d, _as_vectors(d, p, x))
     value = 0.0 if root is None else log_quantize(p, math.exp(root[0]))[0]
     if value == 0.0:  # the origin, or a grid value nu**i * xi0 that underflows to 0.0
         return np.zeros(d.dim)
@@ -293,7 +344,7 @@ def angular_error_bound(delta_angle: float, dim: int) -> float:
         raise NonFiniteInputError(f"delta_angle must be finite, got {delta_angle!r}")
     if delta_angle < 0:
         raise NegativeInputError("delta_angle must be nonnegative")
-    if dim < 2:
+    if _integer_dim(dim) < 2:
         raise DimensionTooSmallError("angular error bound needs dim >= 2")
     c = math.cos(0.5 * delta_angle) ** (2 * (dim - 1))
     return 2.0 * math.sqrt(max(1.0 - c, 0.0))

@@ -134,10 +134,8 @@ def simulate(plant: HomPlant, fb: HomFeedback,
         raise ValueError("step size must be positive and finite")
     if not (t_end >= h and math.isfinite(t_end)):
         raise ValueError("t_end must be at least one step")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = geometry._as_states(plant.dilation, x0)
     n = plant.dilation.dim
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
 
     d, b = plant.dilation, plant.input_matrix
     gain, kappa = fb.gain, fb.norm_power

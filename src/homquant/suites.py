@@ -220,7 +220,7 @@ def _fundamental_domain_locality(rng_seed, nu_override):
         px = geometry.phi(d, x)
         return d.weighted_norm(geometry.phi(d, q) - px) / d.weighted_norm(px)
 
-    levels = geometry._radial_cells(p.nu, p.rho, geometry.hom_norm_many(d, xs))
+    levels = quantizer._radial_cells(p.nu, p.rho, geometry.hom_norm_many(d, xs))
     folded = d.apply_each(levels * p.radial_step, xs.T).T
     return abs(max(map(ratio, xs, quantizer.hom_quantize_many(d, p, xs)))
                - max(map(ratio, folded, quantizer.hom_quantize_many(d, p, folded))))

@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from homquant import (
-    FundamentalDomain,
-    NonPositiveFunctionError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     QuantizerParams,
-    hom_norm,
     hom_norm_many,
     make_dilation,
 )
@@ -22,7 +19,6 @@ from homquant.checks import (
     check_field_homogeneity,
     check_hom_sector,
     check_quantizer_discrete_homogeneity,
-    ratio_bounds_on_domain,
     sample_directions,
     sample_states,
 )
@@ -161,48 +157,3 @@ def test_hom_sector_scaled_map(diag321):
     worst = check_hom_sector(lambda xs: np.array([double(x) for x in xs]), diag321, inside,
                              SampleSpec(count=200, seed=8))
     assert worst <= 1e-10
-
-
-# ------------------------------------------------------------- ratio bounds
-
-def test_ratio_bounds_exact_power_relation(diag321):
-    fd = FundamentalDomain(diag321, math.log(2.0), rho=1.0)
-    f1 = lambda z: hom_norm(diag321, z)
-    f2 = lambda z: hom_norm(diag321, z) ** 2
-    lo, hi = ratio_bounds_on_domain(f1, 1.0, f2, 2.0, fd, SampleSpec(count=500, seed=10))
-    assert lo == pytest.approx(1.0, rel=1e-9)
-    assert hi == pytest.approx(1.0, rel=1e-9)
-
-
-def test_ratio_bounds_direction_dependent(diag321):
-    """A direction-dependent degree-2 numerator gives a nontrivial spread that
-    does not depend on the radial placement of the annulus."""
-    f1 = lambda z: hom_norm(diag321, z)
-
-    def f2(z):
-        r = hom_norm(diag321, z)
-        u = diag321.apply(-math.log(r), z)
-        return r ** 2 * (1.5 + u[0])
-
-    spec = SampleSpec(count=800, seed=11)
-    near = FundamentalDomain(diag321, math.log(2.0), rho=1.0)
-    far = FundamentalDomain(diag321, math.log(2.0), rho=64.0)
-    lo1, hi1 = ratio_bounds_on_domain(f1, 1.0, f2, 2.0, near, spec)
-    lo2, hi2 = ratio_bounds_on_domain(f1, 1.0, f2, 2.0, far, spec)
-    assert hi1 > lo1 + 0.1
-    assert lo1 == pytest.approx(lo2, rel=1e-9)
-    assert hi1 == pytest.approx(hi2, rel=1e-9)
-
-
-def test_ratio_bounds_requires_positive_denominator(diag321):
-    fd = FundamentalDomain(diag321, 1.0)
-    with pytest.raises(NonPositiveFunctionError):
-        ratio_bounds_on_domain(lambda z: -1.0, 1.0, lambda z: 1.0, 1.0, fd,
-                               SampleSpec(count=50, seed=12))
-
-
-def test_ratio_bounds_rejects_bad_degrees(diag321):
-    fd = FundamentalDomain(diag321, 1.0)
-    with pytest.raises(ValueError):
-        ratio_bounds_on_domain(lambda z: 1.0, 0.0, lambda z: 1.0, 1.0, fd,
-                               SampleSpec(count=50, seed=12))

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import homquant
 from homquant import (
     Dilation,
-    FundamentalDomain,
     NormOverflowError,
     NotMonotoneError,
     NotPositiveDefiniteError,
@@ -367,12 +367,11 @@ def test_no_other_module_reads_private_dilation_names():
 # The private names each module of the package reads from another one, by
 # `from .module import _name` or as `module._name`; any other module reads none.
 _PRIVATE_READS = {
-    "simulation": {"geometry._solve", "quantizer._encoder"},
+    "simulation": {"geometry._as_states", "geometry._solve", "quantizer._encoder"},
     "quantizer": {f"geometry.{name}" for name in (
-        "_LOG_SAFE", "_apply_unit", "_by_value", "_edge", "_radial_cell", "_radial_cells",
-        "_solve", "_solve_many_nonzero")},
+        "_LOG_SAFE", "_apply_unit", "_as_states", "_solve", "_solve_many_nonzero")},
     "cli": {"geometry._apply_unit"},
-    "suites": {"checks._sample_off_boundary", "geometry._radial_cells"},
+    "suites": {"checks._sample_off_boundary", "quantizer._radial_cells"},
 }
 
 
@@ -399,6 +398,32 @@ def test_private_names_read_across_modules():
         if found:
             reads[path.stem] = found
     assert reads == _PRIVATE_READS
+
+
+# The public names of the package: its entry points, errors and version.
+_PUBLIC_NAMES = {
+    "SampleSpec", "SectorSpec", "check_field_homogeneity", "check_hom_sector",
+    "check_quantizer_discrete_homogeneity", "sample_directions", "sample_states",
+    "Dilation", "dilation_norm_bounds", "make_dilation",
+    "ConfigParseError", "ConfigValidationError", "DegreeMismatchError",
+    "DimensionTooSmallError", "EmptyTrajectoryError", "HomquantError", "NegativeInputError",
+    "NoConvergenceError", "NonFiniteInputError", "NonFiniteStateError", "NormOverflowError",
+    "NotMonotoneError", "NotOnSphereError", "NotPositiveDefiniteError", "NotSymmetricError",
+    "UnknownSuiteError", "UnsupportedDimensionError", "ZeroVectorError",
+    "hom_norm", "hom_norm_many", "hom_project", "phi", "phi_inv", "phi_many",
+    "QuantizerParams", "angular_error_bound", "epsilon_tilde", "hom_quantize",
+    "hom_quantize_many", "log_quantize", "spherical_quantize", "spherical_quantize_many",
+    "to_spherical", "unit_from_angles",
+    "HomFeedback", "HomPlant", "Trajectory", "example_plant", "settling_metrics", "simulate",
+}
+
+
+def test_public_names():
+    """The names homquant exports, its submodules aside, are _PUBLIC_NAMES, so
+    adding or removing an export shows up as an edit to that table."""
+    exported = {name for name, value in vars(homquant).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == _PUBLIC_NAMES
 
 
 # ----------------------------------------------------------------- gain bounds
@@ -441,12 +466,3 @@ def test_norm_bounds_rejects_non_finite(diag321):
         dilation_norm_bounds(diag321, math.inf)
     with pytest.raises(ValueError):
         diag321.matrix(math.nan)
-
-
-# ----------------------------------------------------------- discrete subgroup
-
-def test_discrete_dilation_rejects_bad_step(diag321):
-    with pytest.raises(ValueError):
-        FundamentalDomain(diag321, step=0.0)
-    with pytest.raises(ValueError):
-        FundamentalDomain(diag321, step=-1.0)

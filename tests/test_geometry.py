@@ -1,4 +1,4 @@
-"""Canonical homogeneous norm, straightening map, and the group's scalar action."""
+"""Canonical homogeneous norm, straightening map, and the shape of the states they take."""
 
 import math
 import warnings
@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 
 from homquant import (
     Dilation,
-    FundamentalDomain,
-    NegativeInputError,
     NonFiniteInputError,
     NormOverflowError,
     QuantizerParams,
-    SampleSpec,
+    UnsupportedDimensionError,
     ZeroVectorError,
     angular_error_bound,
     dilation_norm_bounds,
-    distance_bound_alpha1,
     hom_norm,
     hom_norm_many,
     hom_project,
@@ -30,14 +27,14 @@ from homquant import (
     phi,
     phi_inv,
     phi_many,
-    projection_index,
-    sample_states,
-    tilde_scale,
+    spherical_quantize,
+    spherical_quantize_many,
     to_spherical,
+    unit_from_angles,
 )
 from homquant import geometry
 from homquant.errors import NoConvergenceError, NotMonotoneError
-from homquant.geometry import _radial_cells, _solve
+from homquant.geometry import _solve
 
 from conftest import GENERATORS
 
@@ -244,20 +241,14 @@ NON_FINITE_CALLS = {
     "hom_norm": lambda d: hom_norm(d, [math.nan, 1.0, 0.0]),
     "hom_project": lambda d: hom_project(d, [1.0, -math.inf, 0.0]),
     "phi": lambda d: phi(d, [0.0, 0.0, math.nan]),
-    "projection_index": lambda d: projection_index(FundamentalDomain(d, 1.0),
-                                                   [math.inf, 1.0, 1.0]),
     "hom_quantize": lambda d: hom_quantize(d, _P, [math.inf, 0.0, 0.0]),
     "to_spherical-nan": lambda d: to_spherical([math.nan, 1.0, 0.0]),
     "to_spherical-inf": lambda d: to_spherical([math.inf, 1.0, 0.0]),
     "log_quantize-inf": lambda d: log_quantize(_P, math.inf),
     "log_quantize-nan": lambda d: log_quantize(_P, math.nan),
     "phi_inv": lambda d: phi_inv(d, [math.nan, 1.0, 0.0]),
-    "tilde_scale-state": lambda d: tilde_scale(d, 2.0, [math.inf, 0.0, 0.0]),
-    "tilde_scale-scalar": lambda d: tilde_scale(d, math.nan, [1.0, 0.0, 0.0]),
     "matrix": lambda d: d.matrix(math.nan),
     "dilation_norm_bounds": lambda d: dilation_norm_bounds(d, math.inf),
-    "distance_bound_alpha1-nan": lambda d: distance_bound_alpha1(d, math.nan),
-    "distance_bound_alpha1-inf": lambda d: distance_bound_alpha1(d, math.inf),
     "angular_error_bound-nan": lambda d: angular_error_bound(math.nan, 3),
     "angular_error_bound-inf": lambda d: angular_error_bound(math.inf, 3),
 }
@@ -272,6 +263,51 @@ def test_non_finite_input_rejected(label, call):
     gen, weight, _ = WARM_START_DILATIONS[label]
     with pytest.raises(NonFiniteInputError):
         NON_FINITE_CALLS[call](make_dilation(gen, weight))
+
+
+# States of the wrong length or rank for a dim-3 dilation, and the angle count
+# and dimension that the quantizer's parameters and bounds take.
+WRONG_SHAPE_CALLS = {
+    "hom_norm-short": lambda d: hom_norm(d, [1.0, 2.0]),
+    "hom_norm-long": lambda d: hom_norm(d, [1.0, 2.0, 3.0, 4.0]),
+    "hom_norm-rank2": lambda d: hom_norm(d, [[1.0, 2.0, 3.0]]),
+    "phi": lambda d: phi(d, [1.0, 2.0]),
+    "hom_project": lambda d: hom_project(d, [1.0, 2.0]),
+    "hom_quantize": lambda d: hom_quantize(d, _P, [1.0, 2.0]),
+    "phi_inv": lambda d: phi_inv(d, [1.0, 2.0]),
+    "spherical_quantize-rank2": lambda d: spherical_quantize(d, _P, [[1.0, 0.0, 0.0]]),
+    "hom_norm_many-short": lambda d: hom_norm_many(d, [[1.0, 2.0]]),
+    "hom_norm_many-rank1": lambda d: hom_norm_many(d, [1.0, 2.0, 3.0]),
+    "phi_many-short": lambda d: phi_many(d, [[1.0, 2.0]]),
+    "phi_many-rank1": lambda d: phi_many(d, [1.0, 2.0, 3.0]),
+    "hom_quantize_many-short": lambda d: hom_quantize_many(d, _P, [[1.0, 2.0]]),
+    "hom_quantize_many-rank1": lambda d: hom_quantize_many(d, _P, [1.0, 2.0, 3.0]),
+    "spherical_quantize_many-rank1": lambda d: spherical_quantize_many(d, _P, [1.0, 0.0, 0.0]),
+    "unit_from_angles-short": lambda d: unit_from_angles(d, [0.1]),
+    "unit_from_angles-long": lambda d: unit_from_angles(d, [0.1, 0.2, 0.3]),
+    "QuantizerParams-dim": lambda d: QuantizerParams(0.7, math.pi / 20, dim=2.5),
+    "angular_error_bound-dim": lambda d: angular_error_bound(0.1, 2.5),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", sorted(WRONG_SHAPE_CALLS))
+@pytest.mark.parametrize("label", ["diag321", "diag321-weighted"])
+def test_wrong_shape_rejected(label, call):
+    """A state of the wrong length or rank fails with one error type, not a bare
+    numpy or unpacking ValueError."""
+    gen, weight, _ = WARM_START_DILATIONS[label]
+    with pytest.raises(UnsupportedDimensionError):
+        WRONG_SHAPE_CALLS[call](make_dilation(gen, weight))
+
+
+def test_shape_error_names_the_shape_and_an_empty_batch_passes(diag321):
+    with pytest.raises(UnsupportedDimensionError, match=r"shape \(1, 2\) under a dim 3"):
+        hom_norm_many(diag321, [[1.0, 2.0]])
+    empty = np.zeros((0, 3))
+    assert hom_norm_many(diag321, empty).shape == (0,)
+    assert phi_many(diag321, empty).shape == (0, 3)
+    assert hom_quantize_many(diag321, _P, empty).shape == (0, 3)
 
 
 # A finite state whose |x|_P overflows (entries above ~1e154 square to inf;
@@ -588,131 +624,43 @@ def test_phi_example(diag321):
 
 
 # ---------------------------------------------------------------- scalar action
+# The scalar action of the homogeneous space, lam ~ x = phi_inv(lam * phi(x)),
+# is the group action sign(lam) * exp(ln|lam| G) x.
+
+def _scale(d, lam, x):
+    return phi_inv(d, lam * phi(d, x))
+
 
 @pytest.mark.filterwarnings("error")
 def test_tilde_scale(diag321):
     x = np.array([8.0, 0.0, 0.0])
     # e^(3 ln 2) * 8 = 64 on the weight-3 axis
-    assert np.allclose(tilde_scale(diag321, 2.0, x), [64.0, 0.0, 0.0], rtol=1e-12)
-    assert np.allclose(tilde_scale(diag321, -2.0, x), [-64.0, 0.0, 0.0], rtol=1e-12)
-    assert np.array_equal(tilde_scale(diag321, 0.0, x), np.zeros(3))
+    assert np.allclose(_scale(diag321, 2.0, x), [64.0, 0.0, 0.0], rtol=1e-12)
+    assert np.allclose(_scale(diag321, -2.0, x), [-64.0, 0.0, 0.0], rtol=1e-12)
+    assert np.array_equal(_scale(diag321, 0.0, x), np.zeros(3))
     # Past the largest float: (1e900, 0, 0) and (1e450, 0, 0), with no numpy
     # warning and no inf or NaN entry.
     for lam, y in ((1e300, [1.0, 0.0, 0.0]), (1e50, [1e300, 0.0, 0.0])):
         with pytest.raises(NormOverflowError):
-            tilde_scale(diag321, lam, y)
+            _scale(diag321, lam, y)
 
 
 def test_tilde_scale_inverse_element(any_dilation, rng):
+    """-1 ~ x is -x, and x + (-1 ~ x) is the origin."""
     x = rng.standard_normal(any_dilation.dim)
-    neg = tilde_scale(any_dilation, -1.0, x)
+    neg = _scale(any_dilation, -1.0, x)
+    assert np.allclose(neg, -x, rtol=1e-9, atol=1e-12)
     total = phi_inv(any_dilation, phi(any_dilation, x) + phi(any_dilation, neg))
     assert np.linalg.norm(total) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 
 def test_tilde_scale_matches_phi_scaling(any_dilation, rng):
+    """phi takes the group action sign(lam) exp(ln|lam| G) x to lam * phi(x),
+    so the documented form phi_inv(lam * phi(x)) is that action."""
     for lam in (0.3, -1.7, 4.2):
         x = rng.standard_normal(any_dilation.dim)
-        lhs = phi(any_dilation, tilde_scale(any_dilation, lam, x))
+        action = math.copysign(1.0, lam) * any_dilation.apply(math.log(abs(lam)), x)
+        lhs = phi(any_dilation, action)
         rhs = lam * phi(any_dilation, x)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-11)
-
-
-# ----------------------------------------------------------- fundamental domain
-
-@settings(max_examples=300, deadline=None)
-@given(
-    r=st.floats(min_value=1e-6, max_value=1e6),
-    a=st.floats(min_value=0.05, max_value=2.5),
-    rho=st.floats(min_value=0.25, max_value=4.0),
-)
-def test_projection_index_membership(r, a, rho):
-    d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-    fd = FundamentalDomain(d, a, rho=rho)
-    x = d.apply(math.log(r), np.array([0.0, 0.0, 1.0]))
-    k = projection_index(fd, x)
-    folded = hom_norm(d, x) * math.exp(-k * a)
-    # A draw landing exactly on a cell edge may fold onto the boundary float,
-    # so the half-open bracket is only required up to a sliver of roundoff.
-    assert rho * (1.0 - 1e-13) <= folded < rho * math.exp(a) * (1.0 + 1e-13)
-
-
-def test_projection_index_interior_cell(diag321):
-    fd = FundamentalDomain(diag321, math.log(2.0), rho=1.0)
-    # homogeneous norm 4 * e^0.1 sits strictly inside cell k = 2.
-    u = np.array([0.3, -0.8, 0.52])
-    u /= np.linalg.norm(u)
-    x = diag321.apply(math.log(4.0) + 0.1, u)
-    assert projection_index(fd, x) == 2
-
-
-def test_projection_index_near_cell_edge(diag321):
-    """A point whose radius lands on a cell edge folds into one of the two
-    adjacent cells, and the membership inequality still holds exactly."""
-    a = math.log(2.0)
-    fd = FundamentalDomain(diag321, a, rho=1.0)
-    x = np.array([64.0, 0.0, 0.0])  # homogeneous norm 4 up to solver roundoff
-    k = projection_index(fd, x)
-    assert k in (1, 2)
-    folded = hom_norm(diag321, x) * math.exp(-k * a)
-    assert 1.0 <= folded < math.exp(a)
-
-
-def test_projection_index_rejects_origin(diag321):
-    fd = FundamentalDomain(diag321, 1.0)
-    with pytest.raises(ZeroVectorError):
-        projection_index(fd, np.zeros(3))
-    # |(1e-10, 0)|_d = 1e-1000 under 0.01 I is below its floor: the origin too,
-    # not the cell of the smallest subnormal (index -746; the true one is -2303).
-    with pytest.raises(ZeroVectorError):
-        projection_index(FundamentalDomain(make_dilation(0.01 * np.eye(2)), 1.0), [1e-10, 0.0])
-
-
-@pytest.mark.parametrize("label", sorted(GENERATORS))
-def test_projection_index_is_minus_the_radial_cell(label):
-    """The fold of the locality property: off the cell edges, the radial cells
-    of the batch norms are minus projection_index, row by row."""
-    d = make_dilation(GENERATORS[label])
-    p = QuantizerParams(nu=0.7, delta_angle=1.0, dim=d.dim)
-    fd = FundamentalDomain(d, p.radial_step, rho=p.rho)
-    xs = sample_states(d, SampleSpec(count=500, radius_range=(1e-3, 1e3), seed=3))
-    levels = _radial_cells(p.nu, p.rho, hom_norm_many(d, xs))
-    assert (-levels).tolist() == [projection_index(fd, x) for x in xs]
-
-
-def test_fundamental_domain_validation(diag321):
-    with pytest.raises(ValueError):
-        FundamentalDomain(diag321, 1.0, rho=0.0)
-
-
-# ------------------------------------------------------------- distance bounds
-
-def test_alpha1_shape(diag321):
-    assert distance_bound_alpha1(diag321, 0.0) == 0.0
-    grid = np.linspace(0.0, 3.0, 40)
-    vals = [distance_bound_alpha1(diag321, t) for t in grid]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert all(v > 0 for v in vals[1:])
-    with pytest.raises(NegativeInputError):
-        distance_bound_alpha1(diag321, -0.1)
-
-
-def test_alpha1_overflow_raises(diag321):
-    """A bound past the largest float raises NormOverflowError, not a bare OverflowError."""
-    with pytest.raises(NormOverflowError):
-        distance_bound_alpha1(diag321, 1e200)
-
-
-def test_alpha1_dominates_sampled_distances(diag321, rng):
-    """The bound must cover the actual homogeneous distance growth."""
-    for _ in range(200):
-        x = rng.standard_normal(3) * 2.0
-        y = rng.standard_normal(3) * 2.0
-        px, py = phi(diag321, x), phi(diag321, y)
-        denom = diag321.weighted_norm(px)
-        theta = diag321.weighted_norm(py - px) / denom
-        gap = phi_inv(diag321, py - px)  # y minus x in the homogeneous space
-        bound = distance_bound_alpha1(diag321, theta) * (1.0 + 1e-9)
-        assert (hom_norm(diag321, gap) / hom_norm(diag321, x)) ** 2 <= bound
-        # the bound also covers the plain coordinate difference
-        assert (hom_norm(diag321, y - x) / hom_norm(diag321, x)) ** 2 <= bound
+        assert np.allclose(_scale(any_dilation, lam, x), action, rtol=1e-9, atol=1e-11)

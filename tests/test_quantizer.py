@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from homquant import (
     DimensionTooSmallError,
-    FundamentalDomain,
     HomquantError,
     NegativeInputError,
     NonFiniteInputError,
@@ -30,7 +29,6 @@ from homquant import (
     log_quantize,
     make_dilation,
     phi,
-    projection_index,
     sample_states,
     spherical_quantize,
     spherical_quantize_many,
@@ -39,8 +37,7 @@ from homquant import (
 )
 from homquant import geometry, suites
 from homquant.checks import _sample_off_boundary, sample_directions
-from homquant.quantizer import _log_quantize_many
-from homquant.geometry import _edge, _radial_cell, _radial_cells
+from homquant.quantizer import _edge, _log_quantize_many, _radial_cell, _radial_cells
 
 
 def from_spherical(radius, angles):
@@ -165,28 +162,40 @@ def _cell_inputs(p):
 
 @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
 def test_radial_cells_are_the_fundamental_annuli(nu):
-    """The level of log_quantize is minus the projection_index of the same
-    norm on the identity dilation of the same group, and the scalar and vector
-    cell lookups agree row by row, at every edge and at the float extremes."""
+    """The level of log_quantize is the annulus of the group {nu**k} that holds
+    its input, and the scalar and vector cell lookups agree row by row, at every
+    edge and at the float extremes, also on the homogeneous norms of those inputs."""
     p = QuantizerParams(nu=nu, delta_angle=1.0, dim=1)
     zs = _cell_inputs(p)
     levels = [log_quantize(p, z)[1] for z in zs]
     assert _radial_cells(p.nu, p.rho, np.array(zs)).tolist() == levels
     for z, i in zip(zs, levels):
         assert _edge(p.nu, p.rho, i) <= z < _edge(p.nu, p.rho, i - 1)
-    # The group of step -ln(nu) has the ratio exp(ln(nu)), which is one ulp
-    # off nu = 0.05; its quantizer is the one whose cells are its annuli.
     d = make_dilation(np.eye(1))
-    fd = FundamentalDomain(d, p.radial_step, rho=p.rho)
-    q = QuantizerParams(nu=math.exp(-fd.step), delta_angle=1.0, dim=1)
     # Below the floor of the norm solve z is the origin.
-    xs = [np.array([z]) for z in _cell_inputs(q) if z >= math.exp(geometry._log_floor(d))]
+    xs = [np.array([z]) for z in zs if z >= math.exp(geometry._log_floor(d))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # |x|^2 overflows past 1e154
         r = np.array([hom_norm(d, x) for x in xs])
-        ks = [projection_index(fd, x) for x in xs]
-    assert ks == [-log_quantize(q, v)[1] for v in r]
-    assert _radial_cells(q.nu, q.rho, r).tolist() == [_radial_cell(q.nu, q.rho, v) for v in r]
+    assert _radial_cells(p.nu, p.rho, r).tolist() == [_radial_cell(p.nu, p.rho, v) for v in r]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.floats(min_value=1e-6, max_value=1e6),
+    step=st.floats(min_value=0.05, max_value=2.5),
+    rho=st.floats(min_value=0.25, max_value=4.0),
+)
+def test_radial_cell_folds_into_the_annulus(r, step, rho):
+    """Shifting a state by its radial cell ``i`` of the group of any step and anchor
+    folds its homogeneous norm into the annulus ``[rho, rho*exp(step))``."""
+    d = make_dilation(np.diag([3.0, 2.0, 1.0]))
+    x = d.apply(math.log(r), np.array([0.0, 0.0, 1.0]))
+    i = _radial_cell(math.exp(-step), rho, hom_norm(d, x))
+    folded = hom_norm(d, x) * math.exp(i * step)
+    # A draw landing exactly on a cell edge may fold onto the boundary float,
+    # so the half-open bracket is only required up to a sliver of roundoff.
+    assert rho * (1.0 - 1e-13) <= folded < rho * math.exp(step) * (1.0 + 1e-13)
 
 
 def test_quantizer_rejects_params_of_another_dimension(diag321):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import homquant
-from homquant import geometry
+from homquant import geometry, quantizer
 from homquant import (
     DegreeMismatchError,
     EmptyTrajectoryError,
@@ -128,6 +128,12 @@ def test_simulate_rejects_quantizer_of_another_dimension(plant, feedback):
     for x0 in ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]):
         with pytest.raises(UnsupportedDimensionError):
             simulate(plant, feedback, p, x0, 1e-3, 1e-2)
+
+
+@pytest.mark.parametrize("x0", [[1.0, 1.0], [[1.0, 1.0, 1.0]]], ids=["short", "rank2"])
+def test_simulate_rejects_an_initial_state_of_the_wrong_shape(plant, feedback, x0):
+    with pytest.raises(UnsupportedDimensionError, match="state of shape"):
+        simulate(plant, feedback, None, x0, 1e-3, 1e-2)
 
 
 @pytest.mark.parametrize("gain", [[[1.0, 2.0]], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]],
@@ -334,7 +340,7 @@ def test_cached_radial_cell_agrees_with_log_quantize_at_an_edge(nu, monkeypatch)
                         lambda p, z: calls.append(z) or log_quantize(p, z))
     for edge in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)):
         p = _quantizer_with_rho(nu, edge)
-        assert geometry._edge(p.nu, p.rho, 0) == edge
+        assert quantizer._edge(p.nu, p.rho, 0) == edge
         expect = hom_quantize(d, p, x0)
         calls.clear()
         traj = simulate(still, off, p, x0, 1e-3, 0.01)
@@ -353,11 +359,11 @@ def test_cell_bounds_hold_exactly_the_values_log_quantize_puts_there(nu):
     the stage's cache test picks the cell log_quantize would."""
     p = QuantizerParams(nu=nu, delta_angle=1.0, dim=3)
     for i in range(-60, 61, 3):
-        e = geometry._edge(p.nu, p.rho, i)
+        e = quantizer._edge(p.nu, p.rho, i)
         for r in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)):
             _, j = log_quantize(p, r)
             for k in (i - 1, i, i + 1):
-                lo, hi = geometry._edge(p.nu, p.rho, k), geometry._edge(p.nu, p.rho, k - 1)
+                lo, hi = quantizer._edge(p.nu, p.rho, k), quantizer._edge(p.nu, p.rho, k - 1)
                 assert (lo <= r < hi) == (k == j)
 
 
