@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a sha256 of each reference output of the ``homquant`` CLI and library.
 
-The 29 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+The 30 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
 ``configs/example3d.cfg``, the ``homquant seeds --levels=-3..3`` CSVs of the
@@ -26,7 +26,11 @@ rows for each of ``BATCH_DILATIONS``: three full blocks of 8192 columns and a
 one-column tail, which no CLI output spans.  The very last hashes the bytes of
 ``Dilation.matrix(s)`` and ``Dilation.apply(s, x)`` on the expm backend, for
 each generator of ``EXPM_GENERATORS`` at each ``s`` of ``EXPM_S``: no other
-output reaches the expm ``matrix``.  A change meant to keep every result shows
+output reaches the expm ``matrix``.  The thirtieth hashes the bytes of the scalar
+``spherical_quantize`` and ``to_spherical`` on ``SPHERE_ROWS`` seeded unit
+vectors for each ``n`` of ``SPHERE_DIMS``, under the identity and the weight of
+``_sphere_weight``, at each pitch of ``SPHERE_PITCHES``: no CLI output reaches
+the spherical cell of a state size other than 3 or 2.  A change meant to keep every result shows
 the same hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
@@ -88,6 +92,12 @@ BATCH_DILATIONS = {
 EXPM_GENERATORS = ("1 1; 0 1", "1 1 0; 0 1 1; 0 0 1")
 EXPM_S = (0.0, 1e-3, -1e-3, 0.7, -0.7, 5.0, -5.0, 12.0, -12.0, 30.0, -30.0)
 EXPM_X = (0.3, -1.7, 2.9)
+# State sizes, rows per size and angle pitches of the spherical output; a fifth
+# of the entries are zeros of either sign, so degenerate tails and the wrap of
+# the last angle are covered.
+SPHERE_DIMS = (2, 3, 4, 5)
+SPHERE_ROWS = 1000
+SPHERE_PITCHES = (0.15707963267948966, 0.3)
 
 
 def _sha(data: bytes) -> str:
@@ -129,6 +139,33 @@ def _expm_bytes() -> bytes:
         x = np.array(EXPM_X[:d.dim])
         for s in EXPM_S:
             data += d.matrix(s).tobytes() + d.apply(s, x).tobytes()
+    return data
+
+
+def _sphere_weight(n: int) -> np.ndarray:
+    """Tridiagonal weight with 2 on the diagonal and 0.5 beside it, monotone under diag(n..1)."""
+    return 2.0 * np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def _sphere_bytes() -> bytes:
+    """``spherical_quantize`` and ``to_spherical`` of seeded unit vectors, row by row."""
+    from homquant import QuantizerParams, make_dilation, spherical_quantize, to_spherical
+
+    data = b""
+    for n in SPHERE_DIMS:
+        for weight in (None, _sphere_weight(n)):
+            d = make_dilation(np.diag(np.arange(n, 0, -1.0)), weight)
+            rng = np.random.default_rng([30, n])
+            w = rng.standard_normal((SPHERE_ROWS, n))
+            w[rng.random(w.shape) < 0.1] = 0.0
+            w[rng.random(w.shape) < 0.1] = -0.0
+            w[np.all(w == 0.0, axis=1), 0] = 1.0
+            for u in w / d.weighted_norms(w.T)[:, None]:
+                radius, angles = to_spherical(u)
+                data += np.float64(radius).tobytes() + angles.tobytes()
+                for pitch in SPHERE_PITCHES:
+                    p = QuantizerParams(nu=0.7, delta_angle=pitch, dim=n)
+                    data += spherical_quantize(d, p, u).tobytes()
     return data
 
 
@@ -202,6 +239,9 @@ def fingerprints() -> tuple[dict[str, str], dict[str, str]]:
     names = ", ".join(BATCH_DILATIONS)
     out[f"hom_norm_many, phi_many of {BATCH_ROWS} rows: {names}"] = _sha(_batch_bytes())
     out[f"expm matrix, apply of {', '.join(EXPM_GENERATORS)}"] = _sha(_expm_bytes())
+    dims = ", ".join(map(str, SPHERE_DIMS))
+    out[f"spherical_quantize, to_spherical of {SPHERE_ROWS} rows at n = {dims}"] = _sha(
+        _sphere_bytes())
     return out, checks
 
 
