@@ -161,16 +161,23 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write ``header``, then the rows of the 2-D arrays ``columns`` side by side."""
+def _write_csv(path: str, header: list[str], columns, text=None) -> None:
+    """Write ``header``, then the rows of the 2-D arrays ``columns`` side by side: each
+    block of rows as ``text(block)`` gives it, by default every value formatted."""
     row = ",".join(["{:.17g}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         # Formatted from Python floats, a block of rows at a time, so that no
         # copy of the whole table is held as Python objects.
         for k in range(0, len(columns[0]), _CSV_BLOCK):
-            block = np.hstack([c[k:k + _CSV_BLOCK] for c in columns]).tolist()
-            fh.write("".join(row.format(*r) for r in block))
+            block = np.hstack([c[k:k + _CSV_BLOCK] for c in columns])
+            fh.write(text(block) if text else "".join(row.format(*r) for r in block.tolist()))
+
+
+def _alike(a: np.ndarray, b: np.ndarray) -> list[bool]:
+    """Rows of ``a`` and ``b`` that hold the same values with the same signs, so
+    that they format alike; NaN is never alike."""
+    return np.all((a == b) & (np.signbit(a) == np.signbit(b)), axis=1).tolist()
 
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
@@ -178,8 +185,28 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
     m = traj.controls.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
               + [f"u{i+1}" for i in range(m)] + ["hnorm"])
+    fx, fu = ",".join(["{:.17g}"] * n), ",".join(["{:.17g}"] * m)
+    last, qu_text = np.full((1, n + m), math.nan), ""  # the last (q, u) row written, its text
+
+    def text(block: np.ndarray) -> str:
+        # Each run of rows with alike (q, u), as a quantizer holds them, formats them
+        # once, and q takes the text of x where they are alike, as in a nominal run.
+        nonlocal last, qu_text
+        x, qu = block[:, 1:n + 1], block[:, n + 1:-1]
+        same = _alike(qu, np.vstack([last, qu[:-1]]))
+        on_x = _alike(qu[:, :n], x)
+        out = []
+        for t, xr, qur, h, kept, qx in zip(block[:, 0].tolist(), x.tolist(), qu.tolist(),
+                                           block[:, -1].tolist(), same, on_x):
+            x_text = fx.format(*xr)
+            if not kept:
+                qu_text = x_text + "," + fu.format(*qur[n:]) if qx else f"{fx},{fu}".format(*qur)
+            out.append(f"{t:.17g},{x_text},{qu_text},{h:.17g}\n")
+        last = qu[-1:]
+        return "".join(out)
+
     _write_csv(path, header, (traj.times[:, None], traj.states, traj.quantized_states,
-                              traj.controls, traj.hom_norms[:, None]))
+                              traj.controls, traj.hom_norms[:, None]), text)
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:

@@ -45,6 +45,8 @@ _NORM_MIN = math.sqrt(sys.float_info.min)
 # Columns per block of the batch solve: its ~25 temporaries then take about
 # 2 MiB, which stays in a 4 MiB L2 cache across the Newton iterations.
 _BLOCK = 8192
+# The float64 dtype, which numpy gives every float array it builds.
+_FLOAT = np.dtype(float)
 # The scalar Newton core of each live dilation, by id, bound on its first solve;
 # an entry goes when its dilation does.
 _NEWTON: dict = {}
@@ -52,8 +54,16 @@ _NEWTON: dict = {}
 
 def _as_states(d: Dilation, x, batch: bool = False) -> np.ndarray:
     """``x`` as a float array of shape ``(d.dim,)``, or ``(k, d.dim)`` for a ``batch``;
-    :class:`UnsupportedDimensionError` for any other shape."""
-    x = np.asarray(x, dtype=float)
+    :class:`UnsupportedDimensionError` for any other shape, a ragged batch included,
+    and for entries that are not real numbers, such as strings and complex numbers."""
+    try:
+        x = np.asarray(x)
+        if x.dtype is not _FLOAT:
+            if x.dtype.kind not in "biufO":  # bool, integer, float, or objects such as Fraction
+                raise TypeError(f"entries of dtype {x.dtype}")
+            x = x.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise UnsupportedDimensionError(f"state is not an array of real numbers: {exc}") from exc
     if x.shape[batch:] != (d.dim,):
         raise UnsupportedDimensionError(f"state of shape {x.shape} under a dim {d.dim} dilation")
     return x

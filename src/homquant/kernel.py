@@ -1,13 +1,17 @@
-"""Straight-line Python-float kernel of the scalar norm solve and the closed loop.
+"""Straight-line Python-float kernels of the scalar norm solve, the closed loop
+and the polar angles of the spherical quantizer.
 
-One template covers every state size ``n`` and input count ``m``.  Each
-``(n, m)`` is rendered, compiled and cached on its first use, never at import:
-a line holding ``{i}`` (``{j}``) is repeated for each coordinate (input), and
-``<<sep item>>`` joins ``item`` over ``{l}`` in ``1..m`` (or, where it holds
-no ``{l}``, over ``{k}`` in ``1..n``) with ``sep``, one of ``,``, ``+`` and
-``and``.  Lines tagged ``# floats`` build the Newton core of a diagonal
-generator under the identity weight, on Python floats; lines tagged
-``# arrays`` build it for every other dilation, through
+Two templates, ``_TEMPLATE`` (the Newton core, the RK4 stage and update) and
+``_POLAR``, cover every state size ``n`` and input count ``m``.  Each is
+rendered, compiled and cached on its first use at a size, never at import: a
+line holding ``{i}`` (``{j}``) is repeated for each coordinate (input), one
+holding ``{r}`` for ``r`` from ``n-1`` down to ``1``, and ``<<sep item>>``
+joins ``item`` over ``{l}`` in ``1..m`` (or, where it holds no ``{l}``, over
+``{k}`` in ``1..n``) with ``sep``, one of ``,``, ``+`` and ``and``.  ``{n}`` is
+``n``; an index may carry an offset, as in ``{r+1}``, and a line or join item
+naming an index below 1 is left out.  Lines tagged ``# floats`` build the
+Newton core of a diagonal generator under the identity weight, on Python
+floats; lines tagged ``# arrays`` build it for every other dilation, through
 :meth:`~homquant.dilation.Dilation.unit_residual`.  The source is registered
 in :mod:`linecache` under a pseudo-filename, so a traceback through the
 kernel shows its lines.  Each sum runs in coordinate order, so where numpy's
@@ -19,11 +23,11 @@ from __future__ import annotations
 import functools
 import linecache
 import re
-from math import exp, inf, isfinite, log, nan, sqrt
+from math import atan2, exp, floor, inf, isfinite, log, nan, sqrt, tau
 
 from numpy import array, asarray, ndarray
 
-from .errors import NoConvergenceError, NonFiniteInputError
+from .errors import NoConvergenceError, NonFiniteInputError, NotOnSphereError
 
 _TEMPLATE = '''\
 def make_newton(geometry, d, lam, floor):
@@ -114,7 +118,11 @@ def make_stage(solve, d, drift, gain, b, kappa, encode):
             s, y = root
             x_hat, u, push = encode(s, y) or (x, no_control, no_push)
         <<, p{k}>>, = push
-        <<, f{k}>>, = asarray(drift(array(x)), dtype=float).tolist()
+        # A list of Python floats is read as it is, any other result through numpy.
+        f = drift(array(x))
+        <<, f{k}>>, = f if type(f) is list else asarray(f, dtype=float).tolist()
+        if not (<<and type(f{k}) is float>>):
+            <<, f{k}>>, = asarray(f, dtype=float).tolist()
         return (<<, f{k} + p{k}>>,), x_hat, u, s
     return stage
 
@@ -150,41 +158,94 @@ def rk4(stage, x, steps, h, states, qstates, controls, norms):
         x = (<<, x{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})>>,)
 '''
 
+_POLAR = '''\
+def polar(w, step, tol):
+    """The radius and angles of the coordinates w (floats or a float array) as to_spherical
+    defines them, if step is None; else the grid indices floor(a/step + 1/2) of the angles
+    a, or NotOnSphereError where the radius is not within tol of 1."""
+    if isinstance(w, ndarray):
+        w = w.tolist()
+    <<, w{k}>>, = w
+    # Each tail magnitude is the root of one running sum of squares from the last coordinate.
+    t{n} = w{n} * w{n}
+    t{r} = t{r+1} + w{r} * w{r}
+    a{r-1} = atan2(sqrt(t{r}), w{r-1})
+    last = atan2(w{n}, w{n-1})
+    a{n-1} = last + tau if last < 0 else last
+    if step is None:
+        return sqrt(t1), [<<, a{k-1}>>]
+    # A NaN radius fails the check too.
+    if not abs(sqrt(t1) - 1.0) <= tol:
+        raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
+    return [<<, floor(a{k-1} / step + 0.5)>>]
+'''
+
 _JOIN = re.compile(r"<<(,|\+|and) ((?:(?!<<|>>).)*)>>")
+_INDEX = re.compile(r"\{([a-z])([+-]\d+)?\}")
 _TAGS = ("  # floats", "  # arrays")
 
 
-def _join(match: re.Match, n: int, m: int) -> str:
-    sep, item = match[1], match[2]
-    var, count = ("{l}", m) if "{l}" in item else ("{k}", n)
-    return (", " if sep == "," else f" {sep} ").join(
-        item.replace(var, str(c)) for c in range(1, count + 1))
+def _subst(text: str, var: str, value: int) -> str | None:
+    """``text`` with each ``{var}`` or ``{var+c}`` made the index ``value + c``;
+    ``None`` where one falls below 1."""
+    offsets = [int(mt[2] or 0) for mt in _INDEX.finditer(text) if mt[1] == var]
+    if value + min(offsets, default=0) < 1:
+        return None
+    return _INDEX.sub(lambda mt: str(value + int(mt[2] or 0)) if mt[1] == var else mt[0], text)
 
 
-def _render(n: int, m: int, floats: bool) -> str:
+def _names(text: str) -> set[str]:
+    """The index variables that ``text`` names."""
+    return {mt[1] for mt in _INDEX.finditer(text)}
+
+
+def _render(template: str, n: int, m: int, floats: bool) -> str:
+    repeats = {"i": range(1, n + 1), "j": range(1, m + 1), "r": range(n - 1, 0, -1), "n": (n,)}
+
+    def join(mt: re.Match) -> str:
+        sep, item = mt[1], mt[2]
+        var, count = ("l", m) if "l" in _names(item) else ("k", n)
+        items = (_subst(item, var, c) for c in range(1, count + 1))
+        return (", " if sep == "," else f" {sep} ").join(x for x in items if x is not None)
+
     lines = []
-    for line in _TEMPLATE.splitlines():
+    for line in template.splitlines():
         if line.endswith(_TAGS[floats]):
             continue
         line = line.removesuffix(_TAGS[not floats])
         # Innermost joins first: a join may hold one.
-        while (joined := _JOIN.sub(lambda mt: _join(mt, n, m), line)) != line:
+        while (joined := _JOIN.sub(join, line)) != line:
             line = joined
-        var, count = ("{i}", n) if "{i}" in line else ("{j}", m) if "{j}" in line else ("", 1)
-        lines += [line.replace(var, str(c)) if var else line for c in range(1, count + 1)]
+        out, names = [line], _names(line)
+        for var, values in repeats.items():
+            if var in names:
+                out = [y for x in out for c in values if (y := _subst(x, var, c)) is not None]
+        lines += out
     return "\n".join(lines) + "\n"
+
+
+def _compile(source: str, filename: str, **names) -> dict:
+    """Namespace of ``source``, run under ``filename``, which :mod:`linecache` then holds."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"ndarray": ndarray, **names}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 @functools.cache
 def kernel(n: int, m: int, floats: bool) -> dict:
     """Namespace of the kernel for ``n`` states and ``m`` inputs: ``make_newton``
     (on Python floats if ``floats``, else on arrays), ``make_stage`` and ``rk4``."""
-    source = _render(n, m, floats)
-    filename = f"<homquant kernel n={n} m={m}{'' if floats else ' arrays'}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"array": array, "asarray": asarray, "ndarray": ndarray, "exp": exp, "inf": inf,
-                 "isfinite": isfinite, "log": log, "nan": nan, "sqrt": sqrt,
-                 "NoConvergenceError": NoConvergenceError,
-                 "NonFiniteInputError": NonFiniteInputError}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace
+    return _compile(_render(_TEMPLATE, n, m, floats),
+                    f"<homquant kernel n={n} m={m}{'' if floats else ' arrays'}>",
+                    array=array, asarray=asarray, exp=exp, inf=inf, isfinite=isfinite, log=log,
+                    nan=nan, sqrt=sqrt, NoConvergenceError=NoConvergenceError,
+                    NonFiniteInputError=NonFiniteInputError)
+
+
+@functools.cache
+def polar(n: int):
+    """The polar kernel ``polar(w, step, tol)`` of ``n`` coordinates."""
+    return _compile(_render(_POLAR, n, 0, True), f"<homquant polar n={n}>",
+                    atan2=atan2, floor=floor, sqrt=sqrt, tau=tau,
+                    NotOnSphereError=NotOnSphereError)["polar"]

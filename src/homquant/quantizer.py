@@ -26,6 +26,7 @@ from .dilation import Dilation
 from .errors import (DimensionTooSmallError, NegativeInputError, NonFiniteInputError,
                      NormOverflowError, NotOnSphereError, UnsupportedDimensionError)
 from .geometry import _LOG_SAFE, _apply_unit, _as_states, _solve, _solve_many_nonzero
+from .kernel import polar
 
 # Admissible distance of a candidate argument from the weighted unit sphere.
 _SPHERE_TOL = 1e-8
@@ -173,24 +174,6 @@ def _log_quantize_many(p: QuantizerParams, z: np.ndarray) -> np.ndarray:
     return _by_value(_grid_value, _radial_cells(p.nu, p.rho, z), p)
 
 
-def _polar(w: list[float]) -> tuple[float, list[float]]:
-    """Radius and angles of the coordinate list ``w`` as :func:`to_spherical`
-    defines them; fewer than two coordinates give no angles.  Each tail magnitude
-    is the root of one running sum of squares, taken from the last coordinate."""
-    n = len(w)
-    acc = w[-1] * w[-1]
-    if n < 2:
-        return math.sqrt(acc), []
-    angles = [0.0] * (n - 1)
-    last = math.atan2(w[-1], w[-2])
-    angles[-1] = last + 2.0 * math.pi if last < 0 else last
-    for i in range(n - 2, 0, -1):
-        acc += w[i] * w[i]
-        angles[i - 1] = math.atan2(math.sqrt(acc), w[i - 1])
-    acc += w[0] * w[0]
-    return math.sqrt(acc), angles
-
-
 def to_spherical(y) -> tuple[float, np.ndarray]:
     """Radius and angle coordinates of ``y`` in plain Euclidean terms.
 
@@ -204,7 +187,7 @@ def to_spherical(y) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 2:
         raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
-    radius, angles = _polar(y.tolist())
+    radius, angles = polar(y.shape[0])(y, None, None)
     if not math.isfinite(radius) and not np.all(np.isfinite(y)):
         raise NonFiniteInputError("spherical coordinates of a NaN or infinite vector")
     return radius, np.array(angles)
@@ -225,16 +208,11 @@ def unit_from_angles(d: Dilation, angles) -> np.ndarray:
 def _spherical_cell(d: Dilation, p: QuantizerParams, u) -> list[int]:
     """Encoder of :func:`spherical_quantize`: the grid indices
     ``floor(a/delta_angle + 1/2)`` of the angles ``a`` of ``P^{1/2} u``, for ``u`` a
-    float array or the list of floats that the norm solve's float path gives."""
-    w = d.to_euclidean(u)  # u itself under the identity weight
-    # |w| is |u|_P; a NaN radius fails the check too.
-    radius, angles = _polar(w if isinstance(w, list) else w.tolist())
-    if not abs(radius - 1.0) <= _SPHERE_TOL:
-        raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
-    if not angles:
+    float array or the list of floats that the norm solve gives."""
+    cells = polar(d.dim)(d.to_euclidean(u), p.delta_angle, _SPHERE_TOL)
+    if not cells:
         raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
-    step = p.delta_angle
-    return [math.floor(a / step + 0.5) for a in angles]
+    return cells
 
 
 def spherical_quantize(d: Dilation, p: QuantizerParams, u) -> np.ndarray:
@@ -260,7 +238,7 @@ def spherical_quantize_many(d: Dilation, p: QuantizerParams, us) -> np.ndarray:
     n = w.shape[0]
     if n < 2:
         raise DimensionTooSmallError("spherical coordinates need at least 2 coordinates")
-    # _polar's tails (sequential sums from the last coordinate) and angles.
+    # The polar kernel's tails (sequential sums from the last coordinate) and angles.
     tails = np.sqrt(np.cumsum((w * w)[::-1], axis=0))[::-1]
     if not np.all(np.abs(tails[0] - 1.0) <= _SPHERE_TOL):
         raise NotOnSphereError("spherical quantizer input must be on the weighted unit sphere")
@@ -295,6 +273,8 @@ def _encoder(d: Dilation, p: QuantizerParams, finish, radial, spherical):
     _check_dim(d, p)
     lo, hi, value = math.inf, -math.inf, 0.0
     decoded = {}
+    # _spherical_cell without its dimension check: a new symbol's spherical() makes it.
+    cell, euclidean, step = polar(d.dim), d.to_euclidean, p.delta_angle
 
     def encode(s, y):
         nonlocal lo, hi, value
@@ -304,7 +284,7 @@ def _encoder(d: Dilation, p: QuantizerParams, finish, radial, spherical):
             lo, hi = _edge(p.nu, p.rho, i), _edge(p.nu, p.rho, i - 1)
         if value == 0.0:
             return None
-        symbol = (value, *_spherical_cell(d, p, y))
+        symbol = (value, *cell(euclidean(y), step, _SPHERE_TOL))
         entry = decoded.get(symbol)
         if entry is None:
             if len(decoded) >= _DECODED_MAX:

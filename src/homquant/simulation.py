@@ -96,9 +96,9 @@ class Trajectory:
         return len(self.times)
 
 
-def _example_drift(x: np.ndarray) -> np.ndarray:
+def _example_drift(x: np.ndarray) -> list[float]:
     x1, x2, x3 = x.tolist()  # Python floats: same IEEE results, less overhead
-    return np.array([x2 * x3 * x3 + x2 * x2, x1, x2 + x3 * x3])
+    return [x2 * x3 * x3 + x2 * x2, x1, x2 + x3 * x3]
 
 
 def example_plant(dilation: Dilation | None = None) -> HomPlant:

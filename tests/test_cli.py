@@ -254,6 +254,35 @@ def test_csv_writer_formats_every_value_from_python_floats(tmp_path):
     assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_csv_writer_shares_text_only_between_rows_of_the_same_signs(tmp_path):
+    """The writer formats a run of equal (q, u) rows once and takes q's text from x where
+    they are equal; a signed zero, a NaN and a run across blocks of rows still get
+    the text of their own values."""
+    from homquant import Trajectory
+    from homquant.cli import _write_trajectory_csv
+    rng = np.random.default_rng(5)
+    count = 300
+    x = rng.standard_normal((count, 3))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    q = np.repeat(rng.standard_normal((6, 3)), 50, axis=0)  # runs across blocks of 64
+    u = np.repeat(rng.standard_normal((6, 1)), 50, axis=0)
+    q[50:80:2, 0] = u[55:80:3, 0] = 0.0
+    q[51:80:2, 0] = u[56:80:3, 0] = -0.0
+    q[100:200] = x[100:200]  # a nominal stretch, with zeros of the other sign in q
+    q[120:200:7] = np.where(x[120:200:7] == 0.0, 0.0, x[120:200:7])
+    u[200:260] = math.nan
+    q[230:260] = math.nan
+    traj = Trajectory(times=np.arange(count) * 0.1, states=x, quantized_states=q, controls=u,
+                      hom_norms=rng.random(count))
+    out_path = tmp_path / "traj.csv"
+    _write_trajectory_csv(str(out_path), traj)
+    lines = ["t,x1,x2,x3,q1,q2,q3,u1,hnorm"]
+    for k in range(count):
+        row = [traj.times[k], *x[k], *q[k], *u[k], traj.hom_norms[k]]
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    assert out_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_simulate_overflow_at_first_row_writes_only_the_header(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out_path = tmp_path / "traj.csv"
@@ -451,3 +480,13 @@ def test_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_renders_no_kernel():
+    """The generated kernels are rendered on first use at a size, never at import."""
+    src = str(Path(homquant.__file__).resolve().parents[1])
+    code = ("import homquant, homquant.cli; from homquant import kernel; "
+            "print(kernel.kernel.cache_info().currsize, kernel.polar.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["0", "0"]

@@ -301,6 +301,37 @@ def test_wrong_shape_rejected(label, call):
         WRONG_SHAPE_CALLS[call](make_dilation(gen, weight))
 
 
+# States whose entries are not real numbers, or whose rows differ in length.
+NON_REAL_CALLS = {
+    "hom_norm_many-ragged": lambda d: hom_norm_many(d, [[1.0, 2.0, 3.0], [1.0, 2.0]]),
+    "phi_many-ragged": lambda d: phi_many(d, [[1.0, 2.0, 3.0], [1.0, [2.0], 3.0]]),
+    "hom_norm-strings": lambda d: hom_norm(d, ["1", "2", "3"]),
+    "phi-a-string": lambda d: phi(d, [1.0, "a", 3.0]),
+    "hom_norm-complex-list": lambda d: hom_norm(d, [1j, 2.0, 3.0]),
+    "hom_norm_many-complex-array": lambda d: hom_norm_many(d, np.array([[1.0 + 0j, 2.0, 3.0]])),
+    "hom_quantize-complex-array": lambda d: hom_quantize(d, _P, np.ones(3, dtype=complex)),
+    "spherical_quantize-complex-list": lambda d: spherical_quantize(d, _P, [1j, 0.0, 0.0]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", sorted(NON_REAL_CALLS))
+def test_non_real_or_ragged_states_rejected(call, diag321):
+    """A ragged batch, a string or a complex entry fails with the shape error type, not
+    a bare numpy error, and a complex array is not cut to its real part."""
+    with pytest.raises(UnsupportedDimensionError, match="not an array of real numbers"):
+        NON_REAL_CALLS[call](diag321)
+
+
+def test_real_entries_of_other_types_are_read_as_floats(diag321):
+    """Integers, booleans, float32 and Fractions are read as their float values."""
+    from fractions import Fraction
+    expect = hom_norm(diag321, [1.0, 0.0, 2.0])
+    for x in ([1, 0, 2], [True, False, 2], np.array([1, 0, 2], dtype=np.float32),
+              [Fraction(1), 0.0, Fraction(4, 2)], np.array([1.0, 0.0, 2.0], dtype=">f8")):
+        assert hom_norm(diag321, x) == expect
+
+
 def test_shape_error_names_the_shape_and_an_empty_batch_passes(diag321):
     with pytest.raises(UnsupportedDimensionError, match=r"shape \(1, 2\) under a dim 3"):
         hom_norm_many(diag321, [[1.0, 2.0]])

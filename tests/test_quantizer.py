@@ -37,7 +37,8 @@ from homquant import (
 )
 from homquant import geometry, suites
 from homquant.checks import _sample_off_boundary, sample_directions
-from homquant.quantizer import _edge, _log_quantize_many, _radial_cell, _radial_cells
+from homquant.quantizer import (_edge, _log_quantize_many, _radial_cell, _radial_cells,
+                                _spherical_cell)
 
 
 def from_spherical(radius, angles):
@@ -318,6 +319,100 @@ def test_spherical_quantize_weighted(rng):
         q = spherical_quantize(d, p, u)
         assert d.weighted_norm(q) == pytest.approx(1.0, abs=1e-12)
         assert d.weighted_norm(q - u) <= bound + 1e-10
+
+
+def _reference_polar(w: list[float]) -> tuple[float, list[float]]:
+    """Radius and angles of ``w`` as the loop the polar kernel replaced computed them."""
+    n = len(w)
+    acc = w[-1] * w[-1]
+    if n < 2:
+        return math.sqrt(acc), []
+    angles = [0.0] * (n - 1)
+    last = math.atan2(w[-1], w[-2])
+    angles[-1] = last + 2.0 * math.pi if last < 0 else last
+    for i in range(n - 2, 0, -1):
+        acc += w[i] * w[i]
+        angles[i - 1] = math.atan2(math.sqrt(acc), w[i - 1])
+    acc += w[0] * w[0]
+    return math.sqrt(acc), angles
+
+
+def _reference_cell(d, p, u) -> list[int]:
+    """The spherical cell as the loop-based encoder computed it, or its error type."""
+    w = d.to_euclidean(u)
+    radius, angles = _reference_polar(w if isinstance(w, list) else w.tolist())
+    if not abs(radius - 1.0) <= 1e-8:
+        return NotOnSphereError
+    if not angles:
+        return DimensionTooSmallError
+    return [math.floor(a / p.delta_angle + 0.5) for a in angles]
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _cell_or_error(d, p, u):
+    try:
+        return _spherical_cell(d, p, u)
+    except (NotOnSphereError, DimensionTooSmallError) as exc:
+        return type(exc)
+
+
+def _sphere_rows(rng, count: int, n: int) -> np.ndarray:
+    """``count`` nonzero rows of ``n`` normals, a fifth of their entries zeros of either
+    sign, a tenth with a last angle just below 0 (just below 2*pi once wrapped), and a
+    tenth on the planar axis ``+-0.0`` behind a negative coordinate (an angle of pi)."""
+    w = rng.standard_normal((count, n))
+    w[rng.random(w.shape) < 0.1] = 0.0
+    w[rng.random(w.shape) < 0.1] = -0.0
+    k = rng.random(count)
+    wrap, axis = k < 0.1, (0.1 <= k) & (k < 0.2)
+    w[wrap, -2] = np.abs(w[wrap, -2]) + 0.1
+    w[wrap, -1] = -w[wrap, -2] * 10.0 ** -rng.uniform(1.0, 17.0, wrap.sum())
+    w[axis, -2] = -np.abs(w[axis, -2]) - 0.1
+    w[axis, -1] = np.where(rng.random(axis.sum()) < 0.5, 0.0, -0.0)
+    w[np.all(w == 0.0, axis=1), 0] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_polar_kernel_matches_the_reference_loop_bit_for_bit(n):
+    """The generated polar kernel gives the reference loop's radius, angles and cells
+    bit for bit on 50 000 seeded vectors per size, at two pitches, under the identity
+    and a weight, and on and off the unit sphere (by less and more than the tolerance)."""
+    rng = np.random.default_rng([25, n])
+    weight = 2.0 * np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    dilations = [make_dilation(np.diag(np.arange(n, 0, -1.0)), w) for w in (None, weight)]
+    pitches = [QuantizerParams(0.7, a, n) for a in (math.pi / 20, 0.3)]
+    scales = np.array([1.0, 1.0, 1.0, 1.0 + 5e-9, 1.0 - 5e-9, 1.0 + 2e-8, 2.0, math.nan])
+    w = _sphere_rows(rng, 50_000, n)
+    for j, row in enumerate(w.tolist()):
+        radius, angles = to_spherical(np.array(row))
+        ref_radius, ref_angles = _reference_polar(row)
+        assert _bits([radius, *angles]) == _bits([ref_radius, *ref_angles])
+        d, p = dilations[j % 2], pitches[(j // 2) % 2]
+        u = np.array(row) / d.weighted_norm(np.array(row)) * scales[j % len(scales)]
+        expect = _reference_cell(d, p, u)
+        assert _cell_or_error(d, p, u) == expect
+        assert _cell_or_error(d, p, u.tolist()) == expect
+
+
+def test_one_coordinate_keeps_its_error_order():
+    """One coordinate has no angle: off the sphere that is NotOnSphereError, as before,
+    on it DimensionTooSmallError, also through hom_quantize."""
+    d = make_dilation(np.eye(1))
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=1)
+    for u in ([1.0], [-1.0], np.array([1.0 + 5e-9])):
+        with pytest.raises(DimensionTooSmallError):
+            spherical_quantize(d, p, u)
+    for u in ([2.0], [0.0], [math.nan], [math.inf]):
+        with pytest.raises(NotOnSphereError):
+            spherical_quantize(d, p, u)
+    with pytest.raises(DimensionTooSmallError):
+        hom_quantize(d, p, [3.0])
+    with pytest.raises(DimensionTooSmallError):
+        to_spherical([1.0])
 
 
 # -------------------------------------------------------------- error bounds

@@ -593,22 +593,53 @@ def test_kernel_matches_a_numpy_rk4_for_every_shape(n, m, quantized):
         assert np.max(err) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["list", "tuple", "int-array"])
+def _zero_or_x1(zero):
+    """The drift (0, x1, 0), homogeneous of degree 1 under diag(3, 2, 1), with ``zero`` for 0."""
+    return lambda x: [zero, float(x[0]), zero]
+
+
+_BENCH_DRIFT = example_plant().drift
+# Drift results of several types; each is read as the float array of it.
+_DRIFT_KINDS = {
+    "list": lambda x: list(_BENCH_DRIFT(x)),
+    "tuple": lambda x: tuple(_BENCH_DRIFT(x)),
+    "int-array": lambda x: np.zeros(3, dtype=int),  # the zero drift is homogeneous of every degree
+    "float-array": lambda x: np.array(_BENCH_DRIFT(x)),
+    "list-int": _zero_or_x1(0),
+    "list-bool": _zero_or_x1(False),
+    "list-float32": lambda x: [np.float32(v) for v in _BENCH_DRIFT(x)],
+    "list-float64": lambda x: [np.float64(v) for v in _BENCH_DRIFT(x)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DRIFT_KINDS))
 def test_drift_may_return_a_list_a_tuple_or_an_int_array(kind, feedback):
-    """A drift's output is read as a float array whatever its type."""
+    """A drift's output is read as the float array of it whatever its type: a list of
+    Python floats directly, anything else through numpy, with the same trajectory."""
     d = make_dilation(np.diag([3.0, 2.0, 1.0]))
-    if kind == "int-array":  # the zero drift is homogeneous of every degree
-        float_drift, drift = (lambda x: np.zeros(3)), (lambda x: np.zeros(3, dtype=int))
-    else:
-        cast = list if kind == "list" else tuple
-        float_drift, drift = example_plant().drift, (lambda x: cast(example_plant().drift(x)))
+    drift = _DRIFT_KINDS[kind]
     p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
     for quant in (None, p):
         runs = [simulate(HomPlant(drift=f, input_matrix=[[1.0], [0.0], [0.0]], degree=1.0,
                                   dilation=d), feedback, quant, [1.0, 1.0, 1.0], 1e-3, 0.1)
-                for f in (float_drift, drift)]
+                for f in (lambda x: np.asarray(drift(x), dtype=float), drift)]
         for name in ("states", "quantized_states", "controls", "hom_norms"):
             assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+def test_a_drift_with_complex_entries_raises(feedback):
+    """A complex drift entry has no float value: the stage raises, as numpy does."""
+    armed = []
+
+    def drift(x):
+        f = _BENCH_DRIFT(x)
+        return [complex(v) for v in f] if armed else f
+
+    plant = HomPlant(drift=drift, input_matrix=[[1.0], [0.0], [0.0]], degree=1.0,
+                     dilation=make_dilation(np.diag([3.0, 2.0, 1.0])))
+    armed.append(True)
+    with pytest.raises(TypeError):
+        simulate(plant, feedback, None, np.ones(3), 1e-3, 0.01)
 
 
 @pytest.mark.parametrize("label", ["weighted", "eig"])
@@ -653,7 +684,7 @@ def test_a_drift_error_shows_the_kernel_lines_in_its_traceback():
         simulate(plant, HomFeedback(gain=GAIN, norm_power=4.0), None, np.ones(3), 1e-3, 0.01)
     text = "".join(traceback.format_exception(info.value))
     assert 'File "<homquant kernel n=3 m=1>"' in text and ", in stage" in text
-    assert "asarray(drift(array(x)), dtype=float).tolist()" in text
+    assert "f = drift(array(x))" in text
 
 
 # ------------------------------------------------------------------ reductions
