@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a sha256 of each reference output of the ``homquant`` CLI and library.
 
-The 30 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
+The 31 outputs are the stdout of ``homquant check --suite all`` at seeds 0, 1,
 2, 3, 42, 7919 and 12345 and of ``homquant check --suite quantizer --nu 0.5
 --seed 1``, the ``homquant seeds --levels=-2..2`` CSV of
 ``configs/example3d.cfg``, the ``homquant seeds --levels=-3..3`` CSVs of the
@@ -30,7 +30,13 @@ output reaches the expm ``matrix``.  The thirtieth hashes the bytes of the scala
 ``spherical_quantize`` and ``to_spherical`` on ``SPHERE_ROWS`` seeded unit
 vectors for each ``n`` of ``SPHERE_DIMS``, under the identity and the weight of
 ``_sphere_weight``, at each pitch of ``SPHERE_PITCHES``: no CLI output reaches
-the spherical cell of a state size other than 3 or 2.  A change meant to keep every result shows
+the spherical cell of a state size other than 3 or 2.  The thirty-first hashes the
+bytes of ``hom_norm_many`` and ``phi_many`` on the ``hom_quantize_many`` outputs of
+``QUANT_ROWS`` seeded states under ``diag(3, 2, 1)``, with the identity weight and with
+``WEIGHT``: some of those outputs lie on the coordinate axes, the dilation's extreme
+directions, where the norm solve's root is an end of its bracket, and only the
+``check`` residuals reach the batch solve on quantizer outputs otherwise.  A change
+meant to keep every result shows
 the same hashes as the commit before it:
 
     python3 scripts/fingerprint.py                    # the src/ next to this script
@@ -98,6 +104,10 @@ EXPM_X = (0.3, -1.7, 2.9)
 SPHERE_DIMS = (2, 3, 4, 5)
 SPHERE_ROWS = 1000
 SPHERE_PITCHES = (0.15707963267948966, 0.3)
+# Rows of the quantized output, quantized at nu = 0.7 and delta_angle = pi/20, and
+# the weights of its diag(3, 2, 1) dilations.
+QUANT_ROWS = 10_000
+QUANT_WEIGHTS = (None, WEIGHT)
 
 
 def _sha(data: bytes) -> str:
@@ -166,6 +176,24 @@ def _sphere_bytes() -> bytes:
                 for pitch in SPHERE_PITCHES:
                     p = QuantizerParams(nu=0.7, delta_angle=pitch, dim=n)
                     data += spherical_quantize(d, p, u).tobytes()
+    return data
+
+
+def _quantized_bytes() -> bytes:
+    """``hom_norm_many`` and ``phi_many`` of ``hom_quantize_many`` outputs of seeded
+    states, norms spread over six decades."""
+    from homquant import (QuantizerParams, hom_norm_many, hom_quantize_many, make_dilation,
+                          phi_many)
+
+    p = QuantizerParams(nu=0.7, delta_angle=0.15707963267948966, dim=3)
+    data = b""
+    for k, weight in enumerate(QUANT_WEIGHTS):
+        d = make_dilation(np.diag([3.0, 2.0, 1.0]), None if weight is None else _matrix(weight))
+        rng = np.random.default_rng([31, k])
+        xs = rng.standard_normal((QUANT_ROWS, 3)) * np.exp(
+            rng.uniform(-7.0, 7.0, (QUANT_ROWS, 1)))
+        qs = hom_quantize_many(d, p, xs)
+        data += hom_norm_many(d, qs).tobytes() + phi_many(d, qs).tobytes()
     return data
 
 
@@ -242,6 +270,9 @@ def fingerprints() -> tuple[dict[str, str], dict[str, str]]:
     dims = ", ".join(map(str, SPHERE_DIMS))
     out[f"spherical_quantize, to_spherical of {SPHERE_ROWS} rows at n = {dims}"] = _sha(
         _sphere_bytes())
+    weights = ", ".join("diag321" if w is None else f"diag321 weight={w}" for w in QUANT_WEIGHTS)
+    out[f"hom_norm_many, phi_many of {QUANT_ROWS} hom_quantize_many rows: {weights}"] = _sha(
+        _quantized_bytes())
     return out, checks
 
 
