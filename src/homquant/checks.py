@@ -137,15 +137,15 @@ def _sample_off_boundary(d: Dilation, p: QuantizerParams, spec: SampleSpec,
         frac = ((np.log(r) - cell_anchor) / a) % 1.0
         keep = (np.minimum(frac, 1.0 - frac) * a) >= margin
         w = d.to_euclidean(u.T).T
-        for j in range(batch):
-            if not keep[j]:
-                continue
+        # The polar kernel's tails: sequential sums of squares from the last coordinate.
+        tails = np.sqrt(np.cumsum((w * w)[:, ::-1], axis=1))[:, ::-1]
+        off_pole = np.all(tails[:, 1:] >= pole_floor, axis=1).tolist()
+        for j in np.flatnonzero(keep).tolist():
             _, angles = to_spherical(w[j])
-            tails = np.sqrt(np.cumsum((w[j] ** 2)[::-1])[::-1])
-            if np.any(tails[1:] < pole_floor):
+            if not off_pole[j]:
                 continue
-            af = (angles / p.delta_angle + 0.5) % 1.0
-            if np.min(np.minimum(af, 1.0 - af)) * p.delta_angle < margin:
+            af = [(v / p.delta_angle + 0.5) % 1.0 for v in angles.tolist()]
+            if min(min(f, 1.0 - f) for f in af) * p.delta_angle < margin:
                 continue
             out.append(d.apply(math.log(r[j]), u[j]))
             needed -= 1

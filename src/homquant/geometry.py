@@ -102,17 +102,18 @@ def _solve(d: Dilation, x, s0: float | None = None):
 def _solve_many(d: Dilation, cols: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`_solve` over the columns of ``cols`` (all nonzero), given their
     ``log|x|_P`` as ``t``.  A column starts at ``t / rho``, the Newton step from
-    ``s = 0``, with ``rho = x'PGx / x'Px`` in ``[eta_min, eta_max]``; a start not
-    strictly inside the bracket, NaN included, takes the midpoint.  A bracket
-    reaching below :func:`_log_floor` starts there, where a residual below 1 makes
-    the column the origin: its ``s`` is ``-inf``.  A column whose bracket holds no
-    float strictly inside stops at its iterate."""
+    ``s = 0``, with ``rho = x'PGx / x'Px`` in ``[eta_min, eta_max]``, clipped into the
+    bracket: rounding takes it out only at an extreme direction, whose root is an end of
+    the bracket.  A NaN or infinite start takes the midpoint.  A bracket reaching below
+    :func:`_log_floor` starts there, where a residual below 1 makes the column the
+    origin: its ``s`` is ``-inf``.  A column whose bracket holds no float strictly
+    inside stops at its iterate."""
     floor = _log_floor(d)
     lo = np.maximum(np.where(t >= 0, t / d.eta_max, t / d.eta_min), floor)
     hi = np.where(t >= 0, t / d.eta_min, t / d.eta_max)
     pg = d.weight @ d.generator
     s0 = t * d.weighted_norms(cols) ** 2 / np.einsum("ij,ij->j", cols, pg @ cols)
-    s = np.where((lo < s0) & (s0 < hi), s0, 0.5 * (lo + hi))
+    s = np.where(np.isfinite(s0), np.clip(s0, lo, hi), 0.5 * (lo + hi))
     s = np.where(lo == floor, floor, s)
     tol = 0.5 * _REL_TOL
     stuck = False

@@ -84,10 +84,9 @@ def _group_law(label, rng_seed, nu_override):
     eye = np.eye(d.dim)
     worst = 0.0
     for s, t in np.random.default_rng(rng_seed).uniform(-3.0, 3.0, (250, 2)):
-        rhs = d.matrix(s + t)
-        inverse = d.matrix(s) @ d.matrix(-s)
-        worst = max(worst, np.linalg.norm(d.matrix(s) @ d.matrix(t) - rhs) / np.linalg.norm(rhs),
-                    np.linalg.norm(inverse - eye) / math.sqrt(d.dim))
+        rhs, ds = d.matrix(s + t), d.matrix(s)
+        worst = max(worst, np.linalg.norm(ds @ d.matrix(t) - rhs) / np.linalg.norm(rhs),
+                    np.linalg.norm(ds @ d.matrix(-s) - eye) / math.sqrt(d.dim))
     return worst
 
 
@@ -201,29 +200,27 @@ def _quantizer_sector(rng_seed, nu_override):
     return checks.check_hom_sector(partial(quantizer.hom_quantize_many, d, p), d, sector, spec)
 
 
+def _straightened_error(d, p, xs):
+    """Worst straightened relative error ``|phi(q(x)) - phi(x)|_P / |phi(x)|_P`` over the rows."""
+    px = geometry.phi_many(d, xs)
+    pq = geometry.phi_many(d, quantizer.hom_quantize_many(d, p, xs))
+    return float(np.max(d.weighted_norms((pq - px).T) / d.weighted_norms(px.T)))
+
+
 def _empirical_margin(rng_seed, nu_override):
     """Worst straightened relative error over the proven sector radius, minus one."""
     d, xs = _samples("diag321", rng_seed, 10_000)
     p = _quant_params(3, nu_override)
-    px = geometry.phi_many(d, xs)
-    pq = geometry.phi_many(d, quantizer.hom_quantize_many(d, p, xs))
-    ratios = d.weighted_norms((pq - px).T) / d.weighted_norms(px.T)
-    return float(np.max(ratios)) / quantizer.epsilon_tilde(p) - 1.0
+    return _straightened_error(d, p, xs) / quantizer.epsilon_tilde(p) - 1.0
 
 
 def _fundamental_domain_locality(rng_seed, nu_override):
     """Folding every sample into the fundamental annulus ``[rho, rho/nu)``, a shift
     by its radial level, must preserve the straightened relative error of the quantizer."""
     d, p, xs = _off_boundary(rng_seed, nu_override, 2000)
-
-    def ratio(x, q):
-        px = geometry.phi(d, x)
-        return d.weighted_norm(geometry.phi(d, q) - px) / d.weighted_norm(px)
-
     levels = quantizer._radial_cells(p.nu, p.rho, geometry.hom_norm_many(d, xs))
     folded = d.apply_each(levels * p.radial_step, xs.T).T
-    return abs(max(map(ratio, xs, quantizer.hom_quantize_many(d, p, xs)))
-               - max(map(ratio, folded, quantizer.hom_quantize_many(d, p, folded))))
+    return abs(_straightened_error(d, p, xs) - _straightened_error(d, p, folded))
 
 
 def _simulate(quant, x0, h, t_end):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from homquant import (
     hom_norm_many,
     make_dilation,
 )
+from homquant import checks
 from homquant.checks import (
     SampleSpec,
     SectorSpec,
@@ -22,6 +24,7 @@ from homquant.checks import (
     sample_directions,
     sample_states,
 )
+from homquant.quantizer import to_spherical
 
 
 def test_sample_spec_validation():
@@ -123,6 +126,84 @@ def test_discrete_homogeneity_gives_up_on_a_margin_few_states_pass(diag321):
     with pytest.raises(ValueError, match="boundary_margin 0.0785 let 0 of 10 states pass"):
         check_quantizer_discrete_homogeneity(diag321, p, SampleSpec(count=10, boundary_margin=0.0785))
     assert time.perf_counter() - start < 2.0
+
+
+def _sample_off_boundary_per_row(d, p, spec, rng, calls):
+    """Reference for ``checks._sample_off_boundary``: the same draws, with the pole
+    and angular-margin tests in numpy on each row; ``calls`` counts its ``to_spherical``."""
+    margin = spec.boundary_margin
+    pole_floor = math.sqrt(margin) if margin > 0 else 0.0
+    a = p.radial_step
+    lo, hi = spec.radius_range
+    cell_anchor = math.log(p.rho)
+    out = []
+    needed = spec.count
+    drawn, limit = 0, max(checks._DRAWS_PER_STATE * spec.count, checks._MIN_DRAWS)
+    while needed > 0:
+        if drawn >= limit:
+            raise ValueError(f"boundary_margin {margin} let {spec.count - needed} of {spec.count} "
+                             f"states pass in {drawn} draws")
+        batch = max(needed * 2, 64)
+        drawn += batch
+        u = sample_directions(d, rng, batch)
+        r = np.exp(rng.uniform(math.log(lo), math.log(hi), batch))
+        frac = ((np.log(r) - cell_anchor) / a) % 1.0
+        keep = (np.minimum(frac, 1.0 - frac) * a) >= margin
+        w = d.to_euclidean(u.T).T
+        for j in range(batch):
+            if not keep[j]:
+                continue
+            calls.append(j)
+            _, angles = to_spherical(w[j])
+            tails = np.sqrt(np.cumsum((w[j] ** 2)[::-1])[::-1])
+            if np.any(tails[1:] < pole_floor):
+                continue
+            af = (angles / p.delta_angle + 0.5) % 1.0
+            if np.min(np.minimum(af, 1.0 - af)) * p.delta_angle < margin:
+                continue
+            out.append(d.apply(math.log(r[j]), u[j]))
+            needed -= 1
+            if needed == 0:
+                break
+    return np.array(out)
+
+
+def _off_boundary_both(d, p, spec, monkeypatch):
+    """The sampler's and the reference's rows, or ``ValueError`` messages, and their
+    ``to_spherical`` calls."""
+    calls, ref_calls = [], []
+    monkeypatch.setattr(checks, "to_spherical", lambda y: calls.append(1) or to_spherical(y))
+    results = []
+    for sample in (checks._sample_off_boundary,
+                   partial(_sample_off_boundary_per_row, calls=ref_calls)):
+        try:
+            results.append(sample(d, p, spec, np.random.default_rng(spec.seed)))
+        except ValueError as exc:
+            results.append(str(exc))
+    return results, (len(calls), len(ref_calls))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("count, margin", [(1, 0.0), (300, 1e-6), (200, 0.02)])
+@pytest.mark.parametrize("nu", [0.5, 0.9])
+def test_off_boundary_sampler_matches_the_per_row_reference(any_dilation, nu, count, margin,
+                                                            seed, monkeypatch):
+    """The batch pole test and the float angular test keep the reference's rows bit
+    for bit, and its to_spherical calls: one per direction past the radial margin."""
+    p = QuantizerParams(nu=nu, delta_angle=math.pi / 20, dim=any_dilation.dim)
+    spec = SampleSpec(count=count, seed=seed, boundary_margin=margin)
+    (rows, ref_rows), (calls, ref_calls) = _off_boundary_both(any_dilation, p, spec, monkeypatch)
+    assert rows.shape == ref_rows.shape == (count, any_dilation.dim)
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert calls == ref_calls >= count
+
+
+def test_off_boundary_sampler_gives_up_as_the_reference_does(diag321, monkeypatch):
+    p = QuantizerParams(nu=0.7, delta_angle=math.pi / 20, dim=3)
+    spec = SampleSpec(count=10, seed=0, boundary_margin=0.0785)
+    (msg, ref_msg), (calls, ref_calls) = _off_boundary_both(diag321, p, spec, monkeypatch)
+    assert msg == ref_msg == "boundary_margin 0.0785 let 0 of 10 states pass in 10048 draws"
+    assert calls == ref_calls > 0
 
 
 def test_discrete_homogeneity_negative_control(diag321):

@@ -78,6 +78,24 @@ def test_analytic_values(diag321):
     assert hom_norm(diag321, [0.0, 0.0, 5.0]) == pytest.approx(5.0, rel=1e-12)
 
 
+# Rows on the coordinate axes, the extreme directions of diag(3, 2, 1), for t > 0
+# and t < 0, and their norms: there the norm solve's root is an end of its bracket.
+_AXIS_ROWS = {(0.0, 0.0, 8.0): 8.0, (8.0, 0.0, 0.0): 2.0, (0.0, 0.0, -0.125): 0.125,
+              (-0.125, 0.0, 0.0): 0.5}
+
+
+@pytest.mark.parametrize("weight", [None, (2.0, 1.0, 0.5)])
+def test_batch_norm_on_the_extreme_directions(weight):
+    """hom_norm_many of each axis row, alone and in one batch, within 2 ulp of its
+    norm; under the diagonal weight P the rows are mapped through P^{-1/2}."""
+    p = np.ones(3) if weight is None else np.array(weight)
+    d = make_dilation(GENERATORS["diag321"], None if weight is None else np.diag(p))
+    xs = np.array(list(_AXIS_ROWS)) / np.sqrt(p)
+    want = np.array(list(_AXIS_ROWS.values()))
+    for r in (hom_norm_many(d, xs), [hom_norm_many(d, x[None])[0] for x in xs]):
+        assert np.all(np.abs(r - want) <= 2.0 * np.spacing(want))
+
+
 def test_identity_dilation_reduces_to_euclidean(rng):
     d = make_dilation(np.eye(2))
     for _ in range(25):
@@ -207,21 +225,27 @@ def test_solve_takes_every_state(label):
         _solve(make_dilation(0.25 * np.asarray(gen), weight), np.full(d.dim, 1e150))
 
 
-# Ceiling on the Newton evaluations of one block of 8192 columns, per dilation.
-_EVALUATIONS_PER_BLOCK = {"diag321-weighted": 6, "jordan2": 6, "rotate2": 8}
+# Ceiling on the Newton evaluations of one block of 8192 columns, per dilation;
+# "-quantized" takes the quantizer's outputs of the block, some of which lie on the
+# coordinate axes, where the root is an end of the bracket.
+_EVALUATIONS_PER_BLOCK = {"diag321-weighted": 6, "jordan2": 6, "rotate2": 8,
+                          "diag321-quantized": 6}
 
 
 @pytest.mark.parametrize("label", sorted(_EVALUATIONS_PER_BLOCK))
 def test_batch_solve_evaluations_per_block(label, monkeypatch):
     """A block runs until its slowest column converges.  Started at t / rho, the
-    Newton step from s = 0, one block of radii log-uniform in 1e-3..1e3 stays
-    within its ceiling of unit_residual_each calls."""
-    generator, weight, _ = WARM_START_DILATIONS[label]
+    Newton step from s = 0, clipped into the bracket, one block of radii
+    log-uniform in 1e-3..1e3 stays within its ceiling of unit_residual_each calls."""
+    generator, weight, _ = WARM_START_DILATIONS[label.removesuffix("-quantized")]
     d = make_dilation(generator, weight)
     rng = np.random.default_rng(1)
     g = rng.standard_normal((d.dim, geometry._BLOCK))
     rho = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), geometry._BLOCK))
     xs = d.apply_each(np.log(rho), g / d.weighted_norms(g)).T
+    if label.endswith("-quantized"):
+        xs = hom_quantize_many(d, _P, xs)
+        rho = np.array([log_quantize(_P, r)[0] for r in rho])
     calls = []
     evaluate = Dilation.unit_residual_each
     monkeypatch.setattr(Dilation, "unit_residual_each",
